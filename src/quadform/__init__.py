@@ -20,7 +20,7 @@ from .errors import (
     ZeroTarget,
 )
 from .exact import QuadIrr, Rat, is_square, isqrt, qi_floor, qi_make
-from .lattice import Mat2, PMat, first_column, mat_inv, mat_mul, mobius_apply, pmat_canon
+from .lattice import Mat2, PMat, mobius_apply, pmat_canon
 from .groupoid import (
     AdditiveIntegers,
     Morphism,
@@ -37,13 +37,11 @@ from .groupoid import (
     invert,
     morphism_matrix,
     normal_form,
-    normal_form_candidates,
     orbit,
 )
 from .forms import (
     Form,
     act,
-    disc,
     equivalent_sl,
     form_from_root,
     pell_fundamental,

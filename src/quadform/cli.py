@@ -6,9 +6,10 @@ coefficient; pass --middle to give the full even coefficient instead), and
 quadratic irrationals as four integers p q r D meaning (p + q*sqrt(D))/r.
 
 Exit codes: 0 success, 1 well-formed query with a negative answer,
-2 invalid input, 3 internal safety limit (a bug).  With --json the single
-output line is one JSON object {inputs, result, stats, verb} with sorted
-keys; integers that may exceed 2^53-1 are emitted as decimal strings.
+2 invalid input, 3 internal safety limit or unexpected error (a bug).
+With --json the single output line is one JSON object {inputs, result,
+stats, verb} with sorted keys; integers that may exceed 2^53-1 are emitted
+as decimal strings of any length.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import argparse
 import json
 import sys
 import time
+import traceback
 from dataclasses import dataclass
 
 from .errors import InternalLimit, QuadformError
@@ -305,14 +307,22 @@ _RUNNERS = {
 
 def run(cmd: Command) -> tuple[int, str]:
     """Execute a validated command; returns (exit_code, output text)."""
-    t0 = time.perf_counter()
-    code, inputs, result, lines, steps = _RUNNERS[cmd.verb](cmd)
-    elapsed_ms = int((time.perf_counter() - t0) * 1000)
-    if cmd.json:
-        payload = {"verb": cmd.verb, "inputs": inputs, "result": result,
-                   "stats": {"steps": steps, "elapsed_ms": elapsed_ms}}
-        return code, canonical_json(payload)
-    return code, "\n".join(lines)
+    # exact answers may exceed Python's int->str digit limit: lift it here
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        t0 = time.perf_counter()
+        code, inputs, result, lines, steps = _RUNNERS[cmd.verb](cmd)
+        elapsed_ms = int((time.perf_counter() - t0) * 1000)
+        if cmd.json:
+            payload = {"verb": cmd.verb, "inputs": inputs, "result": result,
+                       "stats": {"steps": steps, "elapsed_ms": elapsed_ms}}
+            return code, canonical_json(payload)
+        return code, "\n".join(lines)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -329,6 +339,10 @@ def main(argv: list[str] | None = None) -> int:
     except QuadformError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception as e:
+        where = traceback.extract_tb(e.__traceback__)[-1]
+        print(f"internal error: {e!r} at {where.filename}:{where.lineno}", file=sys.stderr)
+        return 3
     if text:
         print(text)
     return code

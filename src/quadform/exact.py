@@ -199,10 +199,6 @@ class QuadIrr:
     def floor(self) -> int:
         return qi_floor(self)
 
-    def __float__(self):
-        # display/debug only; never used in decisions
-        return float(self.u) + float(self.v) * math.sqrt(self.delta)
-
     def __str__(self):
         p, q, r = self.as_pqr()
         return f"({p}{q:+}*sqrt({self.delta}))/{r}"

@@ -47,10 +47,6 @@ class Form:
         return f"[{self.a},{self.b},{self.c}]"
 
 
-def disc(f: Form) -> int:
-    return f.disc
-
-
 def act(f: Form, h: Mat2 | PMat) -> Form:
     """Right substitution action X -> p*X'+q*Y', Y -> r*X'+s*Y'."""
     m = h.rep if isinstance(h, PMat) else h

@@ -10,7 +10,11 @@ class, ``compose``/``invert`` work directly on reduced shapes, and
 
 Orbits are eventually periodic because every point here has degree 2 over
 the rationals; indexing past the recorded tail wraps around the cycle, so
-loop powers are plain (i, j) pairs with large indices.
+loop powers are plain (i, j) pairs with large indices.  The stabilizer of
+a point is cyclic, generated by the primitive cycle loop, so every
+morphism x -> y is the base morphism ``hom_base(x, y)`` after a power of
+that loop: ``normal_form`` finds the power exactly and costs O(orbit
+length + log|k|) matrix products for winding number k.
 """
 
 from __future__ import annotations
@@ -40,7 +44,8 @@ def derivative(x: QuadIrr) -> tuple[int, QuadIrr]:
 @dataclass(frozen=True)
 class Orbit:
     """Derivative trace of a point: preperiod, cycle, quotients, and the
-    cumulative matrices A_k with x = A_k * x_k (A_0 = I)."""
+    cumulative matrices A_k with x = A_k * x_k for k = 0..length (A_0 = I,
+    A_length = A_pre * C with C the product of the cycle's generators)."""
 
     point: QuadIrr
     preperiod: tuple[QuadIrr, ...]
@@ -73,6 +78,11 @@ class Orbit:
             return self.quotients[k]
         return self.quotients[n + (k - n) % self.cycle_len]
 
+    @property
+    def loop_matrix(self) -> Mat2:
+        """L = A_length * A_pre^(-1), the matrix of the primitive cycle loop."""
+        return self.cum[-1] * self.cum[self.pre_len].inv()
+
 
 @lru_cache(maxsize=None)
 def _orbit_cached(x: QuadIrr, cap: int) -> Orbit:
@@ -96,28 +106,13 @@ def _orbit_cached(x: QuadIrr, cap: int) -> Orbit:
         preperiod=tuple(pts[:k]),
         cycle=tuple(pts[k:]),
         quotients=tuple(quots),
-        cum=tuple(cum[: len(pts)]),
+        cum=tuple(cum),
     )
 
 
 def orbit(x: QuadIrr, cap: int | None = None) -> Orbit:
     """Iterate the derivative until a complete quotient repeats."""
     return _orbit_cached(x, DEFAULT_CAP if cap is None else cap)
-
-
-def _cum_extend(orb: Orbit, mats: list[Mat2], upto: int) -> None:
-    """Grow a cumulative-matrix list (seeded from orb.cum) through index upto."""
-    while len(mats) <= upto:
-        k = len(mats) - 1
-        mats.append(mats[k] * generator_matrix(orb.quotient_at(k)))
-
-
-def _cum_at(orb: Orbit, k: int) -> Mat2:
-    if k < len(orb.cum):
-        return orb.cum[k]
-    mats = list(orb.cum)
-    _cum_extend(orb, mats, k)
-    return mats[k]
 
 
 @dataclass(frozen=True)
@@ -153,15 +148,22 @@ class Morphism:
         return f"{self.source} --({self.i},{self.j})--> {self.target}"
 
 
-def _reduced(src_orb: Orbit, tgt_orb: Orbit, i: int, j: int, mat: PMat | None = None) -> Morphism:
-    """Cancel the common tail, then build the morphism (matrix from the
-    orbits unless one is supplied)."""
+def _reduced(src_orb: Orbit, tgt_orb: Orbit, i: int, j: int, mat: PMat) -> Morphism:
+    """Cancel the common tail (which leaves the matrix unchanged), then
+    build the morphism."""
     while i > 0 and j > 0 and src_orb.point_at(i - 1) == tgt_orb.point_at(j - 1):
         i -= 1
         j -= 1
-    if mat is None:
-        mat = PMat(_cum_at(tgt_orb, j) * _cum_at(src_orb, i).inv())
     return Morphism(src_orb.point, tgt_orb.point, i, j, mat, src_orb, tgt_orb)
+
+
+def _loop(orb: Orbit, k: int, mat: PMat) -> Morphism:
+    """The k-th power (k != 0) of the primitive cycle loop at orb.point,
+    with its known matrix class: descend to the cycle, wind |k| times,
+    return."""
+    pre, turns = orb.pre_len, abs(k) * orb.cycle_len
+    i, j = (pre, pre + turns) if k > 0 else (pre + turns, pre)
+    return Morphism(orb.point, orb.point, i, j, mat, orb, orb)
 
 
 def identity_morphism(x: QuadIrr, cap: int | None = None) -> Morphism:
@@ -182,7 +184,7 @@ def hom_base(x: QuadIrr, y: QuadIrr, cap: int | None = None) -> Morphism | None:
     for i in range(ox.length):
         j = where.get(ox.point_at(i))
         if j is not None:
-            return _reduced(ox, oy, i, j)
+            return _reduced(ox, oy, i, j, PMat(oy.cum[j] * ox.cum[i].inv()))
     return None
 
 
@@ -209,72 +211,58 @@ def cycle_loop(x: QuadIrr, winding: int = 1, cap: int | None = None) -> Morphism
     if winding < 1:
         raise InvalidArgument("winding must be >= 1")
     orb = orbit(x, cap)
-    i = orb.pre_len
-    return _reduced(orb, orb, i, i + winding * orb.cycle_len)
+    return _loop(orb, winding, PMat(orb.loop_matrix ** winding))
+
+
+def _entry_sum(m: Mat2) -> int:
+    return m.p + m.q + m.r + m.s
+
+
+def _cycle_power(m: PMat, c: Mat2) -> int | None:
+    """The k with m = +-c^k, or None if there is none.
+
+    c is a product of generator matrices with positive quotients, so c^n
+    (n >= 1) has nonnegative entries whose sum strictly increases with n,
+    and c^-n has mixed signs.  Squarings of c bracket that sum and a greedy
+    pass from the largest square down (a bisection on the exponent) finds
+    n exactly.
+    """
+    sign = 1 if min(m.rep.p, m.rep.q, m.rep.r, m.rep.s) >= 0 else -1
+    want = (m if sign > 0 else m.inv()).rep
+    target = _entry_sum(want)
+    squares = [c]
+    while _entry_sum(squares[-1]) <= target:
+        squares.append(squares[-1] * squares[-1])
+    n, acc = 0, Mat2.identity()
+    for t in reversed(range(len(squares))):
+        trial = acc * squares[t]
+        if _entry_sum(trial) <= target:
+            n, acc = n + (1 << t), trial
+    return sign * n if acc == want else None
 
 
 def normal_form(g: Mat2 | PMat, x: QuadIrr, cap: int | None = None) -> Morphism:
     """The unique reduced morphism from x with matrix class g.
 
-    Scans index pairs (i, j) in increasing i+j over the (unrolled) orbits
-    of x and y = g*x, keeping pairs whose complete quotients meet, whose
-    previous quotients differ, and whose orbit matrix equals g.  The scan
-    window starts at the combined orbit lengths and doubles until found;
-    termination is guaranteed, so the cap only traps bugs.
-    """
-    g = pmat_canon(g)
-    limit = DEFAULT_CAP if cap is None else cap
-    y = mobius_apply(g, x)
-    ox, oy = orbit(x, cap), orbit(y, cap)
-    acum: list[Mat2] = list(ox.cum)
-    bcum: list[Mat2] = list(oy.cum)
-    ainv: list[Mat2] = []
-    window = ox.length + oy.length
-    s = 0
-    while True:
-        if window > limit:
-            raise InternalLimit(f"normal form of {g} at {x} not found within window {limit}")
-        _cum_extend(ox, acum, window)
-        _cum_extend(oy, bcum, window)
-        while len(ainv) < len(acum):
-            ainv.append(acum[len(ainv)].inv())
-        while s <= window:
-            for j in range(s + 1):
-                i = s - j
-                if ox.point_at(i) != oy.point_at(j):
-                    continue
-                if i > 0 and j > 0 and ox.point_at(i - 1) == oy.point_at(j - 1):
-                    continue
-                if PMat(bcum[j] * ainv[i]) == g:
-                    return Morphism(x, y, i, j, g, ox, oy)
-            s += 1
-        window *= 2
-
-
-def normal_form_candidates(g: Mat2 | PMat, x: QuadIrr, max_sum: int) -> list[tuple[int, int]]:
-    """All (i, j) with i+j <= max_sum passing the three normal-form tests.
-
-    Diagnostic used to confirm uniqueness of the reduced shape.
+    With y = g*x and base = hom_base(x, y), s = base^(-1) * g fixes x, so it
+    is a power k of the primitive cycle loop L = A_pre * C * A_pre^(-1).
+    Conjugating s by A_pre gives +-C^k, and ``_cycle_power`` reads k off
+    exactly with O(log|k|) products; the answer is base after the k-th
+    loop, reduced by ``compose``.  Total cost O(orbit length + log|k|).
     """
     g = pmat_canon(g)
     y = mobius_apply(g, x)
-    ox, oy = orbit(x), orbit(y)
-    acum: list[Mat2] = list(ox.cum)
-    bcum: list[Mat2] = list(oy.cum)
-    _cum_extend(ox, acum, max_sum)
-    _cum_extend(oy, bcum, max_sum)
-    ainv = [m.inv() for m in acum]
-    out = []
-    for s in range(max_sum + 1):
-        for j in range(s + 1):
-            i = s - j
-            if ox.point_at(i) != oy.point_at(j):
-                continue
-            if i > 0 and j > 0 and ox.point_at(i - 1) == oy.point_at(j - 1):
-                continue
-            if PMat(bcum[j] * ainv[i]) == g:
-                out.append((i, j))
-    return out
+    base = hom_base(x, y, cap)
+    if base is None:
+        raise InternalLimit(f"no base morphism from {x} to its image {y} under {g}")
+    s = base.mat.inv() * g
+    orb = base.src_orbit
+    a_pre = orb.cum[orb.pre_len]
+    a_pre_inv = a_pre.inv()
+    k = _cycle_power(PMat(a_pre_inv * s.rep * a_pre), a_pre_inv * orb.cum[-1])
+    if k is None:
+        raise InternalLimit(f"{s} fixes {x} but is no power of its cycle loop")
+    return compose(base, _loop(orb, k, s)) if k else base
 
 
 def morphism_matrix(m: Morphism) -> PMat:

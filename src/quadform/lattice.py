@@ -56,10 +56,16 @@ class Mat2:
         return Mat2(d * self.s, -d * self.q, -d * self.r, d * self.p)
 
     def __pow__(self, k: int) -> "Mat2":
+        """k-th power by repeated squaring: O(log|k|) products."""
         base = self if k >= 0 else self.inv()
         out = Mat2.identity()
-        for _ in range(abs(k)):
-            out = out * base
+        k = abs(k)
+        while k:
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if k:
+                base = base * base
         return out
 
     def apply(self, x: int, y: int) -> tuple[int, int]:
@@ -74,18 +80,6 @@ class Mat2:
 
     def __str__(self):
         return f"[[{self.p},{self.q}],[{self.r},{self.s}]]"
-
-
-def mat_mul(a: Mat2, b: Mat2) -> Mat2:
-    return a * b
-
-
-def mat_inv(a: Mat2) -> Mat2:
-    return a.inv()
-
-
-def first_column(a: Mat2) -> tuple[int, int]:
-    return a.first_column()
 
 
 @dataclass(frozen=True)

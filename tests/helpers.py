@@ -24,6 +24,8 @@ from quadform import (
     generator_matrix,
     mobius_apply,
     normal_form,
+    orbit,
+    pmat_canon,
 )
 
 NONSQUARE_SMALL = [d for d in range(2, 21) if math.isqrt(d) ** 2 != d]
@@ -151,6 +153,42 @@ def cf_quotients_oracle(p: int, q: int, r: int, delta: int, count: int) -> list[
         if ok:
             return quots
         bits *= 2
+
+
+# -- normal-form uniqueness oracle ------------------------------------------
+
+
+def _prefix_products(orb, upto: int) -> list[Mat2]:
+    """A_0..A_upto along the unrolled orbit (indices past the tail wrap)."""
+    mats = [Mat2.identity()]
+    for k in range(upto):
+        mats.append(mats[k] * generator_matrix(orb.quotient_at(k)))
+    return mats
+
+
+def normal_form_candidates(g, x: QuadIrr, max_sum: int) -> list[tuple[int, int]]:
+    """All (i, j) with i+j <= max_sum passing the three normal-form tests.
+
+    Diagnostic used to confirm uniqueness of the reduced shape, by a full
+    scan over index pairs with its own prefix products.
+    """
+    g = pmat_canon(g)
+    y = mobius_apply(g, x)
+    ox, oy = orbit(x), orbit(y)
+    acum = _prefix_products(ox, max_sum)
+    bcum = _prefix_products(oy, max_sum)
+    ainv = [m.inv() for m in acum]
+    out = []
+    for s in range(max_sum + 1):
+        for j in range(s + 1):
+            i = s - j
+            if ox.point_at(i) != oy.point_at(j):
+                continue
+            if i > 0 and j > 0 and ox.point_at(i - 1) == oy.point_at(j - 1):
+                continue
+            if PMat(bcum[j] * ainv[i]) == g:
+                out.append((i, j))
+    return out
 
 
 # -- arithmetic oracles ----------------------------------------------------

@@ -1,8 +1,10 @@
 import json
+import sys
 
 import pytest
 
 from quadform import Form, Mat2, act
+from quadform import cli
 from quadform.cli import Command, UsageError, canonical_json, main, parse_args, run
 
 
@@ -199,6 +201,36 @@ def test_json_big_integers_become_strings(capsys):
     assert int(t) == 16421658242965910275055840472270471049
     u = int(payload["result"]["u"])
     assert int(t) ** 2 - 661 * u**2 == 1
+
+
+def test_integers_past_the_str_digit_limit_render(capsys, monkeypatch):
+    # a 5000-digit answer exceeds Python's default 4300-digit int->str limit
+    t, u = 10**4999 + 7, 3
+    digits = "1" + "0" * 4998 + "7"
+
+    def fake_pell(cmd):
+        return 0, {"delta": cmd.delta}, {"t": t, "u": u}, [f"t={t} u={u}"], 1
+
+    monkeypatch.setitem(cli._RUNNERS, "pell", fake_pell)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, err = run_main(capsys, "pell", "2", "--json")
+    assert code == 0 and err == ""
+    result = json.loads(out)["result"]
+    assert result["t"] == digits
+    assert result["u"] == 3
+    code, out, _ = run_main(capsys, "pell", "2")
+    assert code == 0 and out == f"t={digits} u=3\n"
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+def test_main_unexpected_error_exit_3(capsys, monkeypatch):
+    def broken(cmd):
+        raise ValueError("boom\nsecond line")
+
+    monkeypatch.setitem(cli._RUNNERS, "pell", broken)
+    code, out, err = run_main(capsys, "pell", "2", "--json")
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and "boom" in err and "Traceback" not in err
 
 
 def test_json_has_no_floats(capsys):

@@ -9,10 +9,8 @@ from quadform import (
     Mat2,
     NotAFormRoot,
     act,
-    disc,
     equivalent_sl,
     form_from_root,
-    mat_inv,
     mobius_apply,
     pell_fundamental,
     qi_make,
@@ -31,9 +29,9 @@ from helpers import (
 
 
 def test_disc_examples():
-    assert disc(Form(1, 0, -2)) == 2
-    assert disc(Form(7, 4, 2)) == 2
-    assert disc(Form(-2, 3, 2)) == 13
+    assert Form(1, 0, -2).disc == 2
+    assert Form(7, 4, 2).disc == 2
+    assert Form(-2, 3, 2).disc == 13
 
 
 def test_form_rejects_bad_discriminant():
@@ -96,7 +94,7 @@ def test_root_intertwines_substitution():
     for _ in range(200):
         f = random_form(rng, rng.choice([2, 3, 5, 13, 61]))
         h = random_sl_word(rng)
-        assert root(act(f, h)) == mobius_apply(mat_inv(h), root(f))
+        assert root(act(f, h)) == mobius_apply(h.inv(), root(f))
 
 
 def test_equivalent_sl_examples():

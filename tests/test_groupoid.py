@@ -22,14 +22,21 @@ from quadform import (
     mobius_apply,
     morphism_matrix,
     normal_form,
-    normal_form_candidates,
     orbit,
     qi_make,
 )
-from helpers import parity_components, random_morphism, random_point, random_word
+from helpers import (
+    normal_form_candidates,
+    parity_components,
+    random_morphism,
+    random_point,
+    random_word,
+)
 
 SQRT2 = qi_make(0, 1, 1, 2)
 SILVER = qi_make(1, 1, 1, 2)  # 1 + sqrt2
+PRE2 = qi_make(-1, -1, 3, 13)  # preperiod 2 (a negative quotient), cycle 5
+PRE1_61 = qi_make(2, 3, 7, 61)  # preperiod 1, cycle 76
 
 
 # -- derivative and generators ------------------------------------------------
@@ -210,6 +217,33 @@ def test_normal_form_uniqueness_window():
         m = normal_form(PMat(word), x)
         cands = normal_form_candidates(PMat(word), x, 2 * (m.i + m.j))
         assert cands == [(m.i, m.j)]
+
+
+@pytest.mark.parametrize("x", [SILVER, SQRT2, PRE2, PRE1_61],
+                         ids=["pure", "sqrt2", "pre2", "pre1_61"])
+@pytest.mark.parametrize("k", [1, -1, 37, -37, 300, -300])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_normal_form_cycle_loop_powers(x, k, sign):
+    orb = orbit(x)
+    pre, turns = orb.pre_len, abs(k) * orb.cycle_len
+    g = orb.loop_matrix ** k
+    m = normal_form(g if sign > 0 else -g, x)
+    assert (m.i, m.j) == ((pre, pre + turns) if k > 0 else (pre + turns, pre))
+    assert m.source == m.target == x
+    assert m.mat == PMat(g)
+
+
+@pytest.mark.parametrize("k", [1, -1, 2, -5, 37, -37])
+def test_normal_form_word_and_loop_power(k):
+    rng = random.Random(1000 + k)
+    for _ in range(8):
+        x = random_point(rng, rng.choice([2, 3, 13]))
+        word, endpoint = random_word(rng, x, max_len=12)
+        # wind at the target after the word, or at the source before it
+        for g in (orbit(endpoint).loop_matrix ** k * word, word * orbit(x).loop_matrix ** k):
+            m = normal_form(g, x)
+            assert m.source == x and m.target == endpoint
+            assert morphism_matrix(m) == m.mat == PMat(g)
 
 
 # -- morphism algebra ----------------------------------------------------------------

@@ -6,10 +6,7 @@ from quadform import (
     Mat2,
     NotUnimodular,
     PMat,
-    first_column,
     generator_matrix,
-    mat_inv,
-    mat_mul,
     mobius_apply,
     pmat_canon,
     qi_make,
@@ -36,16 +33,16 @@ def points(draw):
 
 
 def test_mul_examples():
-    assert mat_mul(Mat2(1, 1, 1, 0), Mat2(2, 1, 1, 0)) == Mat2(3, 1, 2, 1)
+    assert Mat2(1, 1, 1, 0) * Mat2(2, 1, 1, 0) == Mat2(3, 1, 2, 1)
     a = Mat2(5, 2, 2, 1)
     assert a * I == a
-    assert a * mat_inv(a) == I
+    assert a * a.inv() == I
 
 
 def test_inv_examples():
-    assert mat_inv(Mat2(1, 1, 1, 0)) == Mat2(0, 1, 1, -1)
-    assert mat_inv(Mat2(5, 2, 2, 1)) == Mat2(1, -2, -2, 5)
-    assert mat_inv(I) == I
+    assert Mat2(1, 1, 1, 0).inv() == Mat2(0, 1, 1, -1)
+    assert Mat2(5, 2, 2, 1).inv() == Mat2(1, -2, -2, 5)
+    assert I.inv() == I
 
 
 def test_non_unimodular_unrepresentable():
@@ -99,6 +96,6 @@ def test_mobius_ignores_sign_and_keeps_delta(a, x):
 
 
 def test_first_column_examples():
-    assert first_column(Mat2(3, 2, 1, 1)) == (3, 1)
-    assert first_column(I) == (1, 0)
-    assert first_column(Mat2(5, 3, 3, 2)) == (5, 3)
+    assert Mat2(3, 2, 1, 1).first_column() == (3, 1)
+    assert I.first_column() == (1, 0)
+    assert Mat2(5, 3, 3, 2).first_column() == (5, 3)
