@@ -20,7 +20,8 @@ length + log|k|) matrix products for winding number k.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import accumulate
 
 from .errors import ComposeMismatch, DiscriminantMismatch, InternalLimit, InvalidArgument
 from .exact import QuadIrr, qi_floor
@@ -34,6 +35,16 @@ def generator_matrix(a: int) -> Mat2:
     return Mat2(a, 1, 1, 0)
 
 
+def generator_product(quotients) -> Mat2:
+    """Product of the quotients' generator matrices in order, as a product
+    tree: big entries meet in a few products, not one per quotient."""
+    mats = [generator_matrix(a) for a in quotients] or [Mat2.identity()]
+    while len(mats) > 1:
+        mats = [mats[k] * mats[k + 1] if k + 1 < len(mats) else mats[k]
+                for k in range(0, len(mats), 2)]
+    return mats[0]
+
+
 def derivative(x: QuadIrr) -> tuple[int, QuadIrr]:
     """Partial quotient floor(x) and next complete quotient 1/(x - floor(x))."""
     a = qi_floor(x)
@@ -43,15 +54,14 @@ def derivative(x: QuadIrr) -> tuple[int, QuadIrr]:
 
 @dataclass(frozen=True)
 class Orbit:
-    """Derivative trace of a point: preperiod, cycle, quotients, and the
-    cumulative matrices A_k with x = A_k * x_k for k = 0..length (A_0 = I,
-    A_length = A_pre * C with C the product of the cycle's generators)."""
+    """Derivative trace of a point: preperiod, cycle, quotients, and, built on
+    first use, the cumulative matrices A_k with x = A_k * x_k for k = 0..length
+    (A_0 = I, A_length = A_pre * C, C the product of the cycle's generators)."""
 
     point: QuadIrr
     preperiod: tuple[QuadIrr, ...]
     cycle: tuple[QuadIrr, ...]
     quotients: tuple[int, ...]
-    cum: tuple[Mat2, ...]
 
     @property
     def pre_len(self) -> int:
@@ -78,17 +88,22 @@ class Orbit:
             return self.quotients[k]
         return self.quotients[n + (k - n) % self.cycle_len]
 
-    @property
+    @cached_property
+    def cum(self) -> tuple[Mat2, ...]:
+        return tuple(accumulate(self.quotients, lambda m, a: m * generator_matrix(a),
+                                initial=Mat2.identity()))
+
+    @cached_property
     def loop_matrix(self) -> Mat2:
-        """L = A_length * A_pre^(-1), the matrix of the primitive cycle loop."""
-        return self.cum[-1] * self.cum[self.pre_len].inv()
+        """L = A_pre * C * A_pre^(-1), the matrix of the primitive cycle loop."""
+        a_pre = generator_product(self.quotients[:self.pre_len])
+        return a_pre * generator_product(self.quotients[self.pre_len:]) * a_pre.inv()
 
 
 @lru_cache(maxsize=None)
 def _orbit_cached(x: QuadIrr, cap: int) -> Orbit:
     pts: list[QuadIrr] = []
     quots: list[int] = []
-    cum: list[Mat2] = [Mat2.identity()]
     seen: dict[QuadIrr, int] = {}
     cur = x
     while cur not in seen:
@@ -98,7 +113,6 @@ def _orbit_cached(x: QuadIrr, cap: int) -> Orbit:
         pts.append(cur)
         a, cur_next = derivative(cur)
         quots.append(a)
-        cum.append(cum[-1] * generator_matrix(a))
         cur = cur_next
     k = seen[cur]
     return Orbit(
@@ -106,7 +120,6 @@ def _orbit_cached(x: QuadIrr, cap: int) -> Orbit:
         preperiod=tuple(pts[:k]),
         cycle=tuple(pts[k:]),
         quotients=tuple(quots),
-        cum=tuple(cum),
     )
 
 

@@ -100,6 +100,8 @@ def test_orbit_structure_invariants():
         # cumulative matrices reconstruct the start point
         for k in range(orb.length):
             assert mobius_apply(orb.cum[k], orb.point_at(k)) == x
+        # the product-tree loop matrix is the one the prefixes give
+        assert orb.loop_matrix == orb.cum[-1] * orb.cum[orb.pre_len].inv()
         # every complete quotient after the first step exceeds 1
         for p in orb.cycle:
             assert p > 1
@@ -333,6 +335,16 @@ def test_cycle_loop_shape():
     assert loop.source == loop.target == SQRT2
     double = cycle_loop(SQRT2, 2)
     assert double.mat == PMat(loop.mat.rep * loop.mat.rep)
+
+
+def test_cycle_loop_builds_no_prefix_matrices():
+    # sqrt(1000003): preperiod 1, a cycle of 458 steps
+    x = qi_make(0, 1, 1, 10**6 + 3)
+    loop = cycle_loop(x)
+    orb = orbit(x)
+    assert orb.pre_len == 1 and orb.cycle_len == 458
+    assert "cum" not in vars(orb)
+    assert loop.mat == PMat(orb.cum[-1] * orb.cum[orb.pre_len].inv())
 
 
 # -- free extension ----------------------------------------------------------------------
