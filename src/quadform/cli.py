@@ -202,7 +202,7 @@ def _mat_str(m: Mat2) -> str:
 
 
 def _point_list(x: QuadIrr) -> list[int]:
-    return list(x.as_pqr())
+    return [x.p, x.q, x.r]
 
 
 # -- verb implementations ------------------------------------------------
@@ -225,8 +225,8 @@ def _run_orbit(cmd):
         "preperiod " + " ".join(str(p) for p in orb.preperiod),
         "cycle " + " ".join(str(p) for p in orb.cycle),
     ]
-    inputs = {"p": cmd.point.as_pqr()[0], "q": cmd.point.as_pqr()[1],
-              "r": cmd.point.as_pqr()[2], "delta": cmd.delta}
+    x = cmd.point
+    inputs = {"p": x.p, "q": x.q, "r": x.r, "delta": cmd.delta}
     return 0, inputs, result, lines, orb.length
 
 
@@ -279,8 +279,7 @@ def _run_solve(cmd):
                      " ".join(f"({x},{y})" for x, y in sols))
     if not report.classes:
         lines.append("NO_SOLUTIONS")
-        return 1, inputs, {"classes": []}, lines, abs(cmd.m)
-    return 0, inputs, {"classes": classes}, lines, steps
+    return (0 if report.classes else 1), inputs, {"classes": classes}, lines, steps
 
 
 def _run_verify(cmd):

@@ -2,9 +2,12 @@
 
 Integers are plain Python ints (arbitrary precision), rationals are
 ``fractions.Fraction`` (normalized, positive denominator), and ``QuadIrr``
-represents u + v*sqrt(delta) for a fixed positive nonsquare delta with
-rational u, v and v != 0.  Every comparison and floor is decided by exact
-integer arithmetic; floating point never influences a result.
+represents (p + q*sqrt(delta))/r for a fixed positive nonsquare delta as the
+integer triple (p, q, r) in lowest terms: r > 0, gcd(p, q, r) = 1, q != 0.
+Every operation works on those integers, a rational operand n/d taking part
+as (n, 0, d), and a result whose sqrt coefficient cancels comes back as a
+Fraction.  Every comparison and floor is decided by exact integer
+arithmetic; floating point never influences a result.
 """
 
 from __future__ import annotations
@@ -20,8 +23,6 @@ from .errors import (
     InvalidDiscriminant,
     NotIrrational,
 )
-
-Rat = Fraction
 
 
 def isqrt(n: int) -> int:
@@ -51,129 +52,158 @@ def check_discriminant(delta: int) -> int:
     return delta
 
 
-def _sign_quad(u: Fraction, v: Fraction, delta: int) -> int:
-    """Sign of u + v*sqrt(delta) with v != 0, by sign analysis and squaring."""
-    if u == 0:
-        return 1 if v > 0 else -1
-    if u > 0 and v > 0:
-        return 1
-    if u < 0 and v < 0:
-        return -1
-    # opposite signs: compare u^2 against v^2 * delta (both positive)
-    lhs = u * u
-    rhs = v * v * delta
-    # lhs == rhs would make sqrt(delta) rational
-    if u > 0:
-        return 1 if lhs > rhs else -1
-    return 1 if rhs > lhs else -1
+def _sign_quad(p: int, q: int, delta: int) -> int:
+    """Sign of p + q*sqrt(delta), by sign analysis and squaring."""
+    if p == 0 or q == 0 or (p > 0) == (q > 0):
+        return (p + q > 0) - (p + q < 0)
+    # opposite signs: the term with the larger square wins (equal squares
+    # would make sqrt(delta) rational)
+    lead = p if p * p > q * q * delta else q
+    return 1 if lead > 0 else -1
+
+
+# Triples (p, q, r) stand for (p + q*sqrt(delta))/r with r != 0.
+
+def _add(x: tuple, y: tuple) -> tuple:
+    return x[0] * y[2] + y[0] * x[2], x[1] * y[2] + y[1] * x[2], x[2] * y[2]
+
+
+def _neg(x: tuple) -> tuple:
+    return -x[0], -x[1], x[2]
+
+
+def _mul(x: tuple, y: tuple, delta: int) -> tuple:
+    return (x[0] * y[0] + x[1] * y[1] * delta, x[0] * y[1] + x[1] * y[0],
+            x[2] * y[2])
+
+
+def _inv(x: tuple, delta: int) -> tuple:
+    p, q, r = x
+    norm = p * p - q * q * delta
+    # norm = 0 only for a rational zero, since sqrt(delta) is irrational
+    if norm == 0:
+        raise DivisionByZero("division by zero")
+    return r * p, -r * q, norm
+
+
+def _result(delta: int, x: tuple):
+    """The triple as a QuadIrr, or as a Fraction when q cancels."""
+    return QuadIrr(delta, *x) if x[1] else Fraction(x[0], x[2])
 
 
 @dataclass(frozen=True)
 class QuadIrr:
-    """The real quadratic irrational u + v*sqrt(delta), v != 0."""
+    """The real quadratic irrational (p + q*sqrt(delta))/r in lowest terms."""
 
     delta: int
-    u: Fraction
-    v: Fraction
+    p: int
+    q: int
+    r: int
 
     def __post_init__(self):
+        p, q, r = self.p, self.q, self.r
+        if r == 0:
+            raise DivisionByZero("zero denominator r")
         check_discriminant(self.delta)
-        if type(self.u) is not Fraction:
-            object.__setattr__(self, "u", Fraction(self.u))
-        if type(self.v) is not Fraction:
-            object.__setattr__(self, "v", Fraction(self.v))
-        if self.v == 0:
-            raise NotIrrational("v = 0 gives a rational value")
+        if q == 0:
+            raise NotIrrational("q = 0 gives a rational value")
+        g = math.gcd(p, q, r)
+        if r < 0:
+            g = -g
+        if g != 1:
+            object.__setattr__(self, "p", p // g)
+            object.__setattr__(self, "q", q // g)
+            object.__setattr__(self, "r", r // g)
+
+    @property
+    def u(self) -> Fraction:
+        """Rational part p/r."""
+        return Fraction(self.p, self.r)
+
+    @property
+    def v(self) -> Fraction:
+        """Coefficient q/r of sqrt(delta)."""
+        return Fraction(self.q, self.r)
 
     # -- arithmetic ---------------------------------------------------
 
-    def _coerce(self, other):
-        """Return other as Fraction or same-delta QuadIrr, else None."""
+    def _triple(self, other):
+        """other as a same-delta triple, a rational n/d as (n, 0, d); None
+        for any other type."""
         if isinstance(other, QuadIrr):
             if other.delta != self.delta:
                 raise DiscriminantMismatch(
                     f"cannot mix sqrt({self.delta}) with sqrt({other.delta})"
                 )
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Fraction(other)
+            return other.p, other.q, other.r
+        if isinstance(other, int):
+            return other, 0, 1
+        if isinstance(other, Fraction):
+            return other.numerator, 0, other.denominator
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = self._triple(other)
         if o is None:
             return NotImplemented
-        if isinstance(o, QuadIrr):
-            return _make(self.delta, self.u + o.u, self.v + o.v)
-        return QuadIrr(self.delta, self.u + o, self.v)
+        return _result(self.delta, _add((self.p, self.q, self.r), o))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadIrr(self.delta, -self.u, -self.v)
+        return QuadIrr(self.delta, -self.p, -self.q, self.r)
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = self._triple(other)
         if o is None:
             return NotImplemented
-        return self.__add__(-o)
+        return _result(self.delta, _add((self.p, self.q, self.r), _neg(o)))
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = self._triple(other)
         if o is None:
             return NotImplemented
-        return (-self).__add__(o)
+        return _result(self.delta, _add(o, _neg((self.p, self.q, self.r))))
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = self._triple(other)
         if o is None:
             return NotImplemented
-        if isinstance(o, QuadIrr):
-            return _make(
-                self.delta,
-                self.u * o.u + self.v * o.v * self.delta,
-                self.u * o.v + self.v * o.u,
-            )
-        if o == 0:
-            return Fraction(0)
-        return QuadIrr(self.delta, self.u * o, self.v * o)
+        return _result(self.delta, _mul((self.p, self.q, self.r), o, self.delta))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QuadIrr":
         """Exact 1/x; always irrational again."""
-        norm = self.u * self.u - self.v * self.v * self.delta
-        # norm = 0 would make sqrt(delta) rational
-        return QuadIrr(self.delta, self.u / norm, -self.v / norm)
+        return QuadIrr(self.delta, *_inv((self.p, self.q, self.r), self.delta))
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = self._triple(other)
         if o is None:
             return NotImplemented
-        if isinstance(o, QuadIrr):
-            return self.__mul__(o.inverse())
-        if o == 0:
-            raise DivisionByZero("division by zero")
-        return QuadIrr(self.delta, self.u / o, self.v / o)
+        return _result(self.delta,
+                       _mul((self.p, self.q, self.r), _inv(o, self.delta), self.delta))
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
+        o = self._triple(other)
         if o is None:
             return NotImplemented
-        return self.inverse().__mul__(o)
+        return _result(self.delta,
+                       _mul(o, _inv((self.p, self.q, self.r), self.delta), self.delta))
 
     def conjugate(self) -> "QuadIrr":
-        """Galois conjugate u - v*sqrt(delta)."""
-        return QuadIrr(self.delta, self.u, -self.v)
+        """Galois conjugate (p - q*sqrt(delta))/r."""
+        return QuadIrr(self.delta, self.p, -self.q, self.r)
 
     # -- order --------------------------------------------------------
 
     def _cmp(self, other) -> int:
-        """Sign of self - other, exactly."""
-        diff = self - other
-        if isinstance(diff, Fraction):
-            return (diff > 0) - (diff < 0)
-        return _sign_quad(diff.u, diff.v, diff.delta)
+        """Sign of self - other, exactly (both denominators are positive)."""
+        o = self._triple(other)
+        if o is None:
+            raise TypeError(f"cannot compare QuadIrr with {type(other).__name__}")
+        p, q, _ = _add((self.p, self.q, self.r), _neg(o))
+        return _sign_quad(p, q, self.delta)
 
     def __lt__(self, other):
         return self._cmp(other) < 0
@@ -187,41 +217,13 @@ class QuadIrr:
     def __ge__(self, other):
         return self._cmp(other) >= 0
 
-    # -- floor and display --------------------------------------------
-
-    def as_pqr(self) -> tuple[int, int, int]:
-        """Return (p, q, r) with r > 0 and self = (p + q*sqrt(delta)) / r."""
-        r = math.lcm(self.u.denominator, self.v.denominator)
-        return (self.u.numerator * (r // self.u.denominator),
-                self.v.numerator * (r // self.v.denominator),
-                r)
-
-    def floor(self) -> int:
-        return qi_floor(self)
-
     def __str__(self):
-        p, q, r = self.as_pqr()
-        return f"({p}{q:+}*sqrt({self.delta}))/{r}"
-
-    def __repr__(self):
-        return f"QuadIrr(delta={self.delta}, u={self.u}, v={self.v})"
-
-
-def _make(delta: int, u: Fraction, v: Fraction):
-    """QuadIrr, degrading to Fraction when the sqrt coefficient cancels."""
-    if v == 0:
-        return u
-    return QuadIrr(delta, u, v)
+        return f"({self.p}{self.q:+}*sqrt({self.delta}))/{self.r}"
 
 
 def qi_make(p: int, q: int, r: int, delta: int) -> QuadIrr:
     """Build (p + q*sqrt(delta)) / r in lowest terms."""
-    if r == 0:
-        raise DivisionByZero("zero denominator r")
-    check_discriminant(delta)
-    if q == 0:
-        raise NotIrrational("q = 0 gives a rational value")
-    return QuadIrr(delta, Fraction(p, r), Fraction(q, r))
+    return QuadIrr(delta, p, q, r)
 
 
 def qi_floor(x: QuadIrr) -> int:
@@ -231,7 +233,6 @@ def qi_floor(x: QuadIrr) -> int:
     floor(q*sqrt(D)) comes from an isqrt bracket and never sits on the
     boundary; floor(x) is then floor((p + floor(q*sqrt(D))) / r).
     """
-    p, q, r = x.as_pqr()
-    s = isqrt(q * q * x.delta)
-    t = s if q > 0 else -s - 1
-    return (p + t) // r
+    s = isqrt(x.q * x.q * x.delta)
+    t = s if x.q > 0 else -s - 1
+    return (x.p + t) // x.r

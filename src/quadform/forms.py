@@ -12,7 +12,6 @@ and form stabilizers into cycle loops.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DiscriminantMismatch, InvalidDiscriminant, NotAFormRoot
 from .exact import QuadIrr, check_discriminant, is_square
@@ -58,21 +57,26 @@ def act(f: Form, h: Mat2 | PMat) -> Form:
 
 def root(f: Form) -> QuadIrr:
     """The quadratic irrational (-b - sqrt(disc)) / a."""
-    return QuadIrr(f.disc, Fraction(-f.b, f.a), Fraction(-1, f.a))
+    return QuadIrr(f.disc, -f.b, -1, f.a)
 
 
 def form_from_root(x: QuadIrr) -> Form:
-    """The unique form whose root is x; inverse of ``root``."""
-    a = -1 / x.v
-    if a.denominator != 1:
-        raise NotAFormRoot(f"{x}: leading coefficient {a} is not an integer")
-    b = -x.u * a
-    if b.denominator != 1:
-        raise NotAFormRoot(f"{x}: middle coefficient {b} is not an integer")
-    c = Fraction(int(b) * int(b) - x.delta, int(a))
-    if c.denominator != 1:
-        raise NotAFormRoot(f"{x}: trailing coefficient {c} is not an integer")
-    f = Form(int(a), int(b), int(c))
+    """The unique form whose root is x; inverse of ``root``.
+
+    (p + q*sqrt(D))/r = (-b - sqrt(D))/a gives a = -r/q and b = p/q, and
+    then c = (b^2 - D)/a; each must divide exactly.
+    """
+    a, rem = divmod(-x.r, x.q)
+    if rem:
+        raise NotAFormRoot(f"{x}: leading coefficient {-x.r}/{x.q} is not an integer")
+    b, rem = divmod(x.p, x.q)
+    if rem:
+        raise NotAFormRoot(f"{x}: middle coefficient {x.p}/{x.q} is not an integer")
+    c, rem = divmod(b * b - x.delta, a)
+    if rem:
+        raise NotAFormRoot(f"{x}: trailing coefficient {b * b - x.delta}/{a} "
+                           "is not an integer")
+    f = Form(a, b, c)
     assert root(f) == x
     return f
 

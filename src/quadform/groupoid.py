@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import accumulate
+from types import MappingProxyType
 
 from .errors import ComposeMismatch, DiscriminantMismatch, InternalLimit, InvalidArgument
 from .exact import QuadIrr, qi_floor
@@ -54,14 +55,16 @@ def derivative(x: QuadIrr) -> tuple[int, QuadIrr]:
 
 @dataclass(frozen=True)
 class Orbit:
-    """Derivative trace of a point: preperiod, cycle, quotients, and, built on
-    first use, the cumulative matrices A_k with x = A_k * x_k for k = 0..length
-    (A_0 = I, A_length = A_pre * C, C the product of the cycle's generators)."""
+    """Derivative trace of a point: preperiod, cycle, quotients, the index of
+    each point on it, and, built on first use, the cumulative matrices A_k
+    with x = A_k * x_k for k = 0..length (A_0 = I, A_length = A_pre * C, C the
+    product of the cycle's generators)."""
 
     point: QuadIrr
     preperiod: tuple[QuadIrr, ...]
     cycle: tuple[QuadIrr, ...]
     quotients: tuple[int, ...]
+    index: MappingProxyType = field(compare=False, repr=False)
 
     @property
     def pre_len(self) -> int:
@@ -120,6 +123,7 @@ def _orbit_cached(x: QuadIrr, cap: int) -> Orbit:
         preperiod=tuple(pts[:k]),
         cycle=tuple(pts[k:]),
         quotients=tuple(quots),
+        index=MappingProxyType(seen),
     )
 
 
@@ -193,9 +197,8 @@ def hom_base(x: QuadIrr, y: QuadIrr, cap: int | None = None) -> Morphism | None:
     if x.delta != y.delta:
         raise DiscriminantMismatch(f"delta {x.delta} vs {y.delta}")
     ox, oy = orbit(x, cap), orbit(y, cap)
-    where = {pt: idx for idx, pt in enumerate(oy.preperiod + oy.cycle)}
     for i in range(ox.length):
-        j = where.get(ox.point_at(i))
+        j = oy.index.get(ox.point_at(i))
         if j is not None:
             return _reduced(ox, oy, i, j, PMat(oy.cum[j] * ox.cum[i].inv()))
     return None

@@ -40,7 +40,8 @@ def random_point(rng, delta, span=9) -> QuadIrr:
     while vnum == 0:
         vnum = rng.randint(-span, span)
     v = Fraction(vnum, rng.randint(1, span))
-    return QuadIrr(delta, u, v)
+    return QuadIrr(delta, u.numerator * v.denominator, v.numerator * u.denominator,
+                   u.denominator * v.denominator)
 
 
 def random_word(rng, x: QuadIrr, max_len=30, span=9) -> tuple[Mat2, QuadIrr]:

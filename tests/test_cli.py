@@ -191,6 +191,15 @@ def test_json_roundtrip_solve(capsys):
             assert [3, 1] in c["solutions"] and [75, 53] in c["solutions"]
 
 
+def test_json_solve_no_solutions_counts_no_steps(capsys):
+    # steps is the orbit work over the classes found, not |m|
+    code, out, _ = run_main(capsys, "solve", "2", "1", "0", "-2", "999999", "--json")
+    assert code == 1
+    payload = _json_roundtrip(out.strip())
+    assert payload["result"] == {"classes": []}
+    assert payload["stats"]["steps"] == 0
+
+
 def test_json_big_integers_become_strings(capsys):
     # fundamental solution for 661 exceeds 2^53
     code, out, _ = run_main(capsys, "pell", "661", "--json")

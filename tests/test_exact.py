@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -27,7 +28,8 @@ def quadirrs(draw, delta=None):
     u = Fraction(draw(st.integers(-30, 30)), draw(st.integers(1, 12)))
     v = Fraction(draw(st.integers(-30, 30).filter(lambda n: n != 0)),
                  draw(st.integers(1, 12)))
-    return QuadIrr(d, u, v)
+    return QuadIrr(d, u.numerator * v.denominator, v.numerator * u.denominator,
+                   u.denominator * v.denominator)
 
 
 # -- isqrt ----------------------------------------------------------------
@@ -79,7 +81,10 @@ def test_make_rejects_zero_denominator():
        st.integers(-20, 20).filter(lambda n: n != 0),
        st.integers(-9, 9).filter(lambda n: n != 0), DELTAS)
 def test_make_scaling_invariance(p, q, r, k, delta):
-    assert qi_make(p, q, r, delta) == qi_make(k * p, k * q, k * r, delta)
+    x, y = qi_make(p, q, r, delta), qi_make(k * p, k * q, k * r, delta)
+    assert x == y
+    assert hash(x) == hash(y)
+    assert y.r > 0 and math.gcd(y.p, y.q, y.r) == 1
 
 
 # -- field arithmetic -------------------------------------------------------

@@ -79,6 +79,10 @@ def test_form_from_root_examples():
     assert form_from_root(qi_make(3, 1, 2, 13)) == Form(-2, 3, 2)
     with pytest.raises(NotAFormRoot):
         form_from_root(qi_make(1, 1, 3, 2))  # trailing coefficient 1/3
+    with pytest.raises(NotAFormRoot, match="leading"):
+        form_from_root(qi_make(0, 2, 1, 2))  # leading coefficient -1/2
+    with pytest.raises(NotAFormRoot, match="middle"):
+        form_from_root(qi_make(1, 2, 4, 2))  # middle coefficient 1/2
 
 
 def test_root_and_form_from_root_inverse():
