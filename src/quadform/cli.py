@@ -20,6 +20,7 @@ import sys
 import time
 import traceback
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import InternalLimit, QuadformError
 from .exact import QuadIrr, is_square, qi_make
@@ -56,6 +57,7 @@ class Command:
     y: int = 0
 
 
+@cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="quadform", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -197,10 +199,6 @@ def _mat_list(m: Mat2) -> list[list[int]]:
     return [[m.p, m.q], [m.r, m.s]]
 
 
-def _mat_str(m: Mat2) -> str:
-    return f"[[{m.p},{m.q}],[{m.r},{m.s}]]"
-
-
 def _point_list(x: QuadIrr) -> list[int]:
     return [x.p, x.q, x.r]
 
@@ -239,14 +237,14 @@ def _run_equiv(cmd):
     if h is None:
         return 1, inputs, {"equivalent": False, "matrix": None}, ["NOT_EQUIVALENT"], steps
     result = {"equivalent": True, "matrix": _mat_list(h)}
-    return 0, inputs, result, ["EQUIVALENT", f"matrix {_mat_str(h)}"], steps
+    return 0, inputs, result, ["EQUIVALENT", f"matrix {h}"], steps
 
 
 def _run_automorph(cmd):
     h = stabilizer_generator(cmd.form, cmd.cap)
     steps = orbit(root(cmd.form), cmd.cap).length
     inputs = {"delta": cmd.delta, "form": [cmd.form.a, cmd.form.b, cmd.form.c]}
-    return 0, inputs, {"matrix": _mat_list(h)}, [f"matrix {_mat_str(h)}"], steps
+    return 0, inputs, {"matrix": _mat_list(h)}, [f"matrix {h}"], steps
 
 
 def _run_pell(cmd):
@@ -274,7 +272,7 @@ def _run_solve(cmd):
         })
         lines.append(f"class n={c.n} attached {c.attached} base "
                      f"({c.base_solution[0]},{c.base_solution[1]}) "
-                     f"automorph {_mat_str(c.automorph)}")
+                     f"automorph {c.automorph}")
         lines.append(f"solutions n={c.n} " +
                      " ".join(f"({x},{y})" for x, y in sols))
     if not report.classes:

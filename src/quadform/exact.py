@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 
 from .errors import (
@@ -39,16 +40,11 @@ def is_square(n: int) -> bool:
     return r * r == n
 
 
-_KNOWN_DELTAS: set[int] = set()
-
-
+@lru_cache(maxsize=1024)
 def check_discriminant(delta: int) -> int:
     """Validate that delta is a positive nonsquare integer and return it."""
-    if delta in _KNOWN_DELTAS:
-        return delta
     if delta <= 0 or is_square(delta):
         raise InvalidDiscriminant(f"delta must be positive and nonsquare, got {delta}")
-    _KNOWN_DELTAS.add(delta)
     return delta
 
 

@@ -10,7 +10,10 @@ class, ``compose``/``invert`` work directly on reduced shapes, and
 
 Orbits are eventually periodic because every point here has degree 2 over
 the rationals; indexing past the recorded tail wraps around the cycle, so
-loop powers are plain (i, j) pairs with large indices.  The stabilizer of
+loop powers are plain (i, j) pairs with large indices.  An orbit stores
+only its points and quotients; every matrix made from a run of quotients
+comes from the balanced product tree ``generator_product``, built when it
+is needed, so no list of prefix matrices is ever formed.  The stabilizer of
 a point is cyclic, generated by the primitive cycle loop, so every
 morphism x -> y is the base morphism ``hom_base(x, y)`` after a power of
 that loop: ``normal_form`` finds the power exactly and costs O(orbit
@@ -21,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import accumulate
 from types import MappingProxyType
 
 from .errors import ComposeMismatch, DiscriminantMismatch, InternalLimit, InvalidArgument
@@ -29,6 +31,7 @@ from .exact import QuadIrr, qi_floor
 from .lattice import Mat2, PMat, mobius_apply, pmat_canon
 
 DEFAULT_CAP = 10**6
+ORBIT_CACHE_SIZE = 1024
 
 
 def generator_matrix(a: int) -> Mat2:
@@ -55,10 +58,10 @@ def derivative(x: QuadIrr) -> tuple[int, QuadIrr]:
 
 @dataclass(frozen=True)
 class Orbit:
-    """Derivative trace of a point: preperiod, cycle, quotients, the index of
-    each point on it, and, built on first use, the cumulative matrices A_k
-    with x = A_k * x_k for k = 0..length (A_0 = I, A_length = A_pre * C, C the
-    product of the cycle's generators)."""
+    """Derivative trace of a point: preperiod, cycle, quotients and the index
+    of each point on it.  x = A_k * x_k with A_k the product of the first k
+    generators; the orbit keeps only A_pre, the cycle's product C and the
+    loop matrix, built on first use from product trees."""
 
     point: QuadIrr
     preperiod: tuple[QuadIrr, ...]
@@ -92,18 +95,22 @@ class Orbit:
         return self.quotients[n + (k - n) % self.cycle_len]
 
     @cached_property
-    def cum(self) -> tuple[Mat2, ...]:
-        return tuple(accumulate(self.quotients, lambda m, a: m * generator_matrix(a),
-                                initial=Mat2.identity()))
+    def pre_matrix(self) -> Mat2:
+        """A_pre, the product of the preperiod's generators."""
+        return generator_product(self.quotients[:self.pre_len])
+
+    @cached_property
+    def cycle_matrix(self) -> Mat2:
+        """C, the product of the cycle's generators."""
+        return generator_product(self.quotients[self.pre_len:])
 
     @cached_property
     def loop_matrix(self) -> Mat2:
         """L = A_pre * C * A_pre^(-1), the matrix of the primitive cycle loop."""
-        a_pre = generator_product(self.quotients[:self.pre_len])
-        return a_pre * generator_product(self.quotients[self.pre_len:]) * a_pre.inv()
+        return self.pre_matrix * self.cycle_matrix * self.pre_matrix.inv()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=ORBIT_CACHE_SIZE)
 def _orbit_cached(x: QuadIrr, cap: int) -> Orbit:
     pts: list[QuadIrr] = []
     quots: list[int] = []
@@ -200,7 +207,8 @@ def hom_base(x: QuadIrr, y: QuadIrr, cap: int | None = None) -> Morphism | None:
     for i in range(ox.length):
         j = oy.index.get(ox.point_at(i))
         if j is not None:
-            return _reduced(ox, oy, i, j, PMat(oy.cum[j] * ox.cum[i].inv()))
+            b_j, a_i = generator_product(oy.quotients[:j]), generator_product(ox.quotients[:i])
+            return _reduced(ox, oy, i, j, PMat(b_j * a_i.inv()))
     return None
 
 
@@ -273,9 +281,7 @@ def normal_form(g: Mat2 | PMat, x: QuadIrr, cap: int | None = None) -> Morphism:
         raise InternalLimit(f"no base morphism from {x} to its image {y} under {g}")
     s = base.mat.inv() * g
     orb = base.src_orbit
-    a_pre = orb.cum[orb.pre_len]
-    a_pre_inv = a_pre.inv()
-    k = _cycle_power(PMat(a_pre_inv * s.rep * a_pre), a_pre_inv * orb.cum[-1])
+    k = _cycle_power(PMat(orb.pre_matrix.inv() * s.rep * orb.pre_matrix), orb.cycle_matrix)
     if k is None:
         raise InternalLimit(f"{s} fixes {x} but is no power of its cycle loop")
     return compose(base, _loop(orb, k, s)) if k else base

@@ -67,6 +67,18 @@ def test_parse_rejects_bad_bound_and_cap():
         parse_args(["pell", "2", "--cap", "0"])
 
 
+def test_parse_reuses_one_parser_without_carried_state():
+    assert cli._build_parser() is cli._build_parser()
+    with pytest.raises(UsageError):
+        parse_args(["solve", "2", "1", "0", "-2", "x", "--json"])
+    assert parse_args(["solve", "2", "1", "0", "-2", "7"]) == \
+        Command("solve", delta=2, form=Form(1, 0, -2), m=7)
+    assert parse_args(["automorph", "2", "7", "8", "2", "--middle"]).form == Form(7, 4, 2)
+    # a leaked --middle would halve b to 2 and reject the form
+    assert parse_args(["automorph", "2", "7", "4", "2"]) == \
+        Command("automorph", delta=2, form=Form(7, 4, 2))
+
+
 # -- exit codes and text output ------------------------------------------------
 
 

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -6,13 +7,16 @@ from quadform import (
     AdditiveIntegers,
     ComposeMismatch,
     DiscriminantMismatch,
+    Form,
     InternalLimit,
     Mat2,
     PMat,
     ProjectiveMatrices,
+    act,
     compose,
     cycle_loop,
     derivative,
+    equivalent_sl,
     free_extend,
     generator_matrix,
     hom_base,
@@ -25,7 +29,9 @@ from quadform import (
     orbit,
     qi_make,
 )
+from quadform.groupoid import ORBIT_CACHE_SIZE, _orbit_cached
 from helpers import (
+    _prefix_products,
     normal_form_candidates,
     parity_components,
     random_morphism,
@@ -98,10 +104,11 @@ def test_orbit_structure_invariants():
         # derivative of the last cycle entry closes the loop
         assert derivative(orb.cycle[-1])[1] == orb.cycle[0]
         # cumulative matrices reconstruct the start point
+        prefixes = _prefix_products(orb, orb.length)
         for k in range(orb.length):
-            assert mobius_apply(orb.cum[k], orb.point_at(k)) == x
+            assert mobius_apply(prefixes[k], orb.point_at(k)) == x
         # the product-tree loop matrix is the one the prefixes give
-        assert orb.loop_matrix == orb.cum[-1] * orb.cum[orb.pre_len].inv()
+        assert orb.loop_matrix == prefixes[-1] * prefixes[orb.pre_len].inv()
         # every complete quotient after the first step exceeds 1
         for p in orb.cycle:
             assert p > 1
@@ -343,8 +350,36 @@ def test_cycle_loop_builds_no_prefix_matrices():
     loop = cycle_loop(x)
     orb = orbit(x)
     assert orb.pre_len == 1 and orb.cycle_len == 458
-    assert "cum" not in vars(orb)
-    assert loop.mat == PMat(orb.cum[-1] * orb.cum[orb.pre_len].inv())
+    prefixes = _prefix_products(orb, orb.length)
+    assert loop.mat == PMat(prefixes[-1] * prefixes[orb.pre_len].inv())
+
+
+def test_long_orbit_equivalence_and_normal_form():
+    # sqrt(43461196): preperiod 1, a cycle of 15740 steps
+    delta = 43461196
+    f = Form(1, 0, -delta)
+    g = act(f, Mat2(2, 1, 3, 2))
+    t0 = time.perf_counter()
+    h = equivalent_sl(f, g)
+    x = qi_make(0, 1, 1, delta)
+    nf = normal_form(orbit(x).loop_matrix ** 2, x)
+    dt = time.perf_counter() - t0
+    assert act(f, h) == g
+    assert (nf.i, nf.j) == (1, 31481)
+    assert dt < 5, f"runtime {dt:.2f}s exceeds budget 5s"
+
+
+def test_orbit_cache_is_bounded():
+    # each cap is its own cache key, so this asks for more orbits than fit
+    _orbit_cached.cache_clear()
+    try:
+        for cap in range(10, 10 + ORBIT_CACHE_SIZE + 50):
+            orbit(SQRT2, cap)
+        info = _orbit_cached.cache_info()
+        assert info.maxsize == ORBIT_CACHE_SIZE
+        assert info.currsize == ORBIT_CACHE_SIZE
+    finally:
+        _orbit_cached.cache_clear()
 
 
 # -- free extension ----------------------------------------------------------------------
