@@ -9,7 +9,9 @@ Exit codes: 0 success, 1 well-formed query with a negative answer,
 2 invalid input, 3 internal safety limit or unexpected error (a bug).
 With --json the single output line is one JSON object {inputs, result,
 stats, verb} with sorted keys; integers that may exceed 2^53-1 are emitted
-as decimal strings of any length.
+as decimal strings of any length, and integer arguments may be as long.
+
+The grammar (each verb's help and positional integers) is the _VERBS table.
 """
 
 from __future__ import annotations
@@ -19,13 +21,13 @@ import json
 import sys
 import time
 import traceback
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache
 
 from .errors import InternalLimit, QuadformError
 from .exact import QuadIrr, is_square, qi_make
-from .forms import Form, pell_fundamental, root, stabilizer_generator
-from .forms import equivalent_sl
+from .forms import Form, equivalent_sl, pell_fundamental, root, stabilizer_generator
 from .groupoid import orbit
 from .lattice import Mat2
 from .solver import enumerate_solutions, solve_proper, verify_representation
@@ -57,121 +59,97 @@ class Command:
     y: int = 0
 
 
+# verb -> (help, positional integers); forms are a b c, tagged 1 and 2 in equiv
+_VERBS = {
+    "orbit": ("continued-fraction orbit of (p+q*sqrt(D))/r", "p q r D"),
+    "equiv": ("find h in SL(2,Z) with f1*h = f2", "D a1 b1 c1 a2 b2 c2"),
+    "automorph": ("generator of the proper automorphs of [a,b,c]", "D a b c"),
+    "pell": ("fundamental solution of t^2 - D*u^2 = 1", "D"),
+    "solve": ("proper representations of m by [a,b,c]", "D a b c m"),
+    "verify": ("check whether (x,y) represents m", "D a b c m x y"),
+}
+
+
+@contextmanager
+def _unlimited_digits():
+    """Lift Python's int<->str digit limit while exact integers of any
+    length are read or printed; the previous limit is restored after."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
 @cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="quadform", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def common(p, middle=False):
+    for verb, (help_, names) in _VERBS.items():
+        p = sub.add_parser(verb, help=help_)
+        for name in names.split():
+            p.add_argument(name, type=int)
+        if verb == "solve":
+            p.add_argument("--bound", type=int, default=1000, metavar="B",
+                           help="enumerate solutions with max(|x|,|y|) <= B (default 1000)")
         p.add_argument("--json", action="store_true", help="emit one JSON object")
         p.add_argument("--cap", type=int, default=None, metavar="N",
                        help="safety step limit for orbit computations")
-        if middle:
+        if "b" in names:  # a form verb
             p.add_argument("--middle", action="store_true",
                            help="form b arguments are full (even) middle coefficients")
-
-    p = sub.add_parser("orbit", help="continued-fraction orbit of (p+q*sqrt(D))/r")
-    p.add_argument("p", type=int)
-    p.add_argument("q", type=int)
-    p.add_argument("r", type=int)
-    p.add_argument("D", type=int)
-    common(p)
-
-    p = sub.add_parser("equiv", help="find h in SL(2,Z) with f1*h = f2")
-    for name in ("D", "a1", "b1", "c1", "a2", "b2", "c2"):
-        p.add_argument(name, type=int)
-    common(p, middle=True)
-
-    p = sub.add_parser("automorph", help="generator of the proper automorphs of [a,b,c]")
-    for name in ("D", "a", "b", "c"):
-        p.add_argument(name, type=int)
-    common(p, middle=True)
-
-    p = sub.add_parser("pell", help="fundamental solution of t^2 - D*u^2 = 1")
-    p.add_argument("D", type=int)
-    common(p)
-
-    p = sub.add_parser("solve", help="proper representations of m by [a,b,c]")
-    for name in ("D", "a", "b", "c", "m"):
-        p.add_argument(name, type=int)
-    p.add_argument("--bound", type=int, default=1000, metavar="B",
-                   help="enumerate solutions with max(|x|,|y|) <= B (default 1000)")
-    common(p, middle=True)
-
-    p = sub.add_parser("verify", help="check whether (x,y) represents m")
-    for name in ("D", "a", "b", "c", "m", "x", "y"):
-        p.add_argument(name, type=int)
-    common(p, middle=True)
-
     return parser
 
 
-def _half_middle(b: int, name: str, middle: bool) -> int:
-    if not middle:
-        return b
-    if b % 2 != 0:
-        raise UsageError(f"argument {name}: middle coefficient {b} is odd; "
-                         "the even-middle convention requires an even value")
-    return b // 2
-
-
-def _make_form(a: int, b: int, c: int, delta: int, which: str) -> Form:
+def _make_form(ns: argparse.Namespace, tag: str) -> Form:
+    """The form a<tag> b<tag> c<tag>, halving b under --middle, checked
+    against the stated discriminant D."""
+    which = "form" + tag
+    a, b, c = (getattr(ns, name + tag) for name in "abc")
+    if ns.middle:
+        if b % 2 != 0:
+            raise UsageError(f"argument b{tag}: middle coefficient {b} is odd; "
+                             "the even-middle convention requires an even value")
+        b //= 2
     try:
         f = Form(a, b, c)
     except QuadformError as e:
         raise UsageError(f"argument {which}: {e}") from e
-    if f.disc != delta:
+    if f.disc != ns.D:
         raise UsageError(f"argument {which}: discriminant of [{a},{b},{c}] is "
-                         f"{f.disc}, not the stated {delta}")
+                         f"{f.disc}, not the stated {ns.D}")
     return f
 
 
+@_unlimited_digits()
 def parse_args(argv: list[str]) -> Command:
     """Parse and validate; invalid input never reaches the math core."""
     ns = _build_parser().parse_args(argv)
-    kw = {"verb": ns.verb, "json": ns.json, "cap": ns.cap}
     if ns.cap is not None and ns.cap < 1:
         raise UsageError(f"argument --cap: must be >= 1, got {ns.cap}")
-    middle = getattr(ns, "middle", False)
-    try:
-        if ns.verb == "orbit":
+    kw = {"verb": ns.verb, "json": ns.json, "cap": ns.cap, "delta": ns.D}
+    if ns.verb == "orbit":
+        try:
             kw["point"] = qi_make(ns.p, ns.q, ns.r, ns.D)
-            kw["delta"] = ns.D
-        elif ns.verb == "equiv":
-            kw["delta"] = ns.D
-            kw["form"] = _make_form(ns.a1, _half_middle(ns.b1, "b1", middle), ns.c1,
-                                    ns.D, "form1")
-            kw["form2"] = _make_form(ns.a2, _half_middle(ns.b2, "b2", middle), ns.c2,
-                                     ns.D, "form2")
-        elif ns.verb == "automorph":
-            kw["delta"] = ns.D
-            kw["form"] = _make_form(ns.a, _half_middle(ns.b, "b", middle), ns.c,
-                                    ns.D, "form")
-        elif ns.verb == "pell":
-            if ns.D <= 0 or is_square(ns.D):
-                raise UsageError(f"argument D: {ns.D} is not a positive nonsquare")
-            kw["delta"] = ns.D
-        elif ns.verb == "solve":
-            kw["delta"] = ns.D
-            kw["form"] = _make_form(ns.a, _half_middle(ns.b, "b", middle), ns.c,
-                                    ns.D, "form")
-            if ns.m == 0:
-                raise UsageError("argument m: must be nonzero")
-            kw["m"] = ns.m
-            if ns.bound < 1:
-                raise UsageError(f"argument --bound: must be >= 1, got {ns.bound}")
-            kw["bound"] = ns.bound
-        elif ns.verb == "verify":
-            kw["delta"] = ns.D
-            kw["form"] = _make_form(ns.a, _half_middle(ns.b, "b", middle), ns.c,
-                                    ns.D, "form")
-            if ns.m == 0:
-                raise UsageError("argument m: must be nonzero")
-            kw["m"] = ns.m
-            kw["x"], kw["y"] = ns.x, ns.y
-    except QuadformError as e:
-        raise UsageError(str(e)) from e
+        except QuadformError as e:
+            raise UsageError(str(e)) from e
+    elif ns.verb == "pell":
+        if ns.D <= 0 or is_square(ns.D):
+            raise UsageError(f"argument D: {ns.D} is not a positive nonsquare")
+    elif ns.verb == "equiv":
+        kw["form"] = _make_form(ns, "1")
+        kw["form2"] = _make_form(ns, "2")
+    else:
+        kw["form"] = _make_form(ns, "")
+    if getattr(ns, "m", None) == 0:
+        raise UsageError("argument m: must be nonzero")
+    if ns.verb == "solve" and ns.bound < 1:
+        raise UsageError(f"argument --bound: must be >= 1, got {ns.bound}")
+    kw.update((k, v) for k, v in vars(ns).items() if k in ("m", "x", "y", "bound"))
     return Command(**kw)
 
 
@@ -302,24 +280,17 @@ _RUNNERS = {
 }
 
 
+@_unlimited_digits()
 def run(cmd: Command) -> tuple[int, str]:
     """Execute a validated command; returns (exit_code, output text)."""
-    # exact answers may exceed Python's int->str digit limit: lift it here
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit:
-        sys.set_int_max_str_digits(0)
-    try:
-        t0 = time.perf_counter()
-        code, inputs, result, lines, steps = _RUNNERS[cmd.verb](cmd)
-        elapsed_ms = int((time.perf_counter() - t0) * 1000)
-        if cmd.json:
-            payload = {"verb": cmd.verb, "inputs": inputs, "result": result,
-                       "stats": {"steps": steps, "elapsed_ms": elapsed_ms}}
-            return code, canonical_json(payload)
-        return code, "\n".join(lines)
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
+    t0 = time.perf_counter()
+    code, inputs, result, lines, steps = _RUNNERS[cmd.verb](cmd)
+    elapsed_ms = int((time.perf_counter() - t0) * 1000)
+    if cmd.json:
+        payload = {"verb": cmd.verb, "inputs": inputs, "result": result,
+                   "stats": {"steps": steps, "elapsed_ms": elapsed_ms}}
+        return code, canonical_json(payload)
+    return code, "\n".join(lines)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import DiscriminantMismatch, InvalidDiscriminant, NotAFormRoot
 from .exact import QuadIrr, check_discriminant, is_square
-from .groupoid import cycle_loop, hom_in_H
+from .groupoid import cycle_loop, hom_in_H, orbit
 from .lattice import Mat2, PMat
 
 
@@ -105,10 +105,7 @@ def stabilizer_generator(f: Form, cap: int | None = None) -> Mat2:
     odd, to land back on determinant +1), transported along the preperiod.
     """
     x = root(f)
-    loop = cycle_loop(x, 1, cap)
-    if loop.mat.det != 1:
-        loop = cycle_loop(x, 2, cap)
-    h = loop.mat.rep
+    h = cycle_loop(x, 1 + orbit(x, cap).cycle_len % 2, cap).mat.rep
     assert act(f, h) == f
     assert h != Mat2.identity() and h != -Mat2.identity()
     return h

@@ -52,8 +52,10 @@ def generator_product(quotients) -> Mat2:
 def derivative(x: QuadIrr) -> tuple[int, QuadIrr]:
     """Partial quotient floor(x) and next complete quotient 1/(x - floor(x))."""
     a = qi_floor(x)
-    frac = x - a
-    return a, frac.inverse()
+    # x - a = (p', q, r) with p' = p - a*r; its reciprocal is
+    # r*(p' - q*sqrt(D)) / (p'^2 - q^2*D)
+    p = x.p - a * x.r
+    return a, QuadIrr(x.delta, x.r * p, -x.r * x.q, p * p - x.q * x.q * x.delta)
 
 
 @dataclass(frozen=True)

@@ -79,6 +79,54 @@ def test_parse_reuses_one_parser_without_carried_state():
         Command("automorph", delta=2, form=Form(7, 4, 2))
 
 
+_ODD = "middle coefficient {} is odd; the even-middle convention requires an even value"
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["equiv", "2", "1", "1", "-2", "7", "8", "2", "--middle"],
+     "argument b1: " + _ODD.format(1)),
+    (["equiv", "2", "1", "0", "-2", "7", "9", "2", "--middle"],
+     "argument b2: " + _ODD.format(9)),
+    (["automorph", "2", "7", "3", "2", "--middle"], "argument b: " + _ODD.format(3)),
+    (["equiv", "3", "1", "0", "-2", "7", "4", "2"],
+     "argument form1: discriminant of [1,0,-2] is 2, not the stated 3"),
+    (["equiv", "2", "1", "0", "-2", "1", "1", "-2"],
+     "argument form2: discriminant of [1,1,-2] is 3, not the stated 2"),
+    (["automorph", "4", "1", "0", "-4"],
+     "argument form: form [1,0,-4] has discriminant 4; need positive nonsquare"),
+    (["pell", "4"], "argument D: 4 is not a positive nonsquare"),
+    (["orbit", "0", "1", "1", "4"], "delta must be positive and nonsquare, got 4"),
+    (["orbit", "1", "0", "2", "5"], "q = 0 gives a rational value"),
+    (["solve", "2", "1", "0", "-2", "0"], "argument m: must be nonzero"),
+    (["verify", "2", "1", "0", "-2", "0", "3", "1"], "argument m: must be nonzero"),
+    (["solve", "2", "1", "0", "-2", "7", "--bound", "0"],
+     "argument --bound: must be >= 1, got 0"),
+    (["automorph", "2", "1", "0", "-2", "--cap", "0"], "argument --cap: must be >= 1, got 0"),
+    (["pell", "61", "--middle"], "unrecognized arguments: --middle"),
+    (["verify", "2", "1", "0", "-2", "7", "3", "1", "--bound", "5"],
+     "unrecognized arguments: --bound 5"),
+])
+def test_main_rejects_with_one_stderr_line(capsys, argv, line):
+    code, out, err = run_main(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {line}\n")
+
+
+def test_help_lists_every_verb(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["--help"])
+    assert e.value.code == 0
+    out = capsys.readouterr().out
+    for verb, help_ in [
+        ("orbit", "continued-fraction orbit of (p+q*sqrt(D))/r"),
+        ("equiv", "find h in SL(2,Z) with f1*h = f2"),
+        ("automorph", "generator of the proper automorphs of [a,b,c]"),
+        ("pell", "fundamental solution of t^2 - D*u^2 = 1"),
+        ("solve", "proper representations of m by [a,b,c]"),
+        ("verify", "check whether (x,y) represents m"),
+    ]:
+        assert any(l.split() == [verb, *help_.split()] for l in out.splitlines()), verb
+
+
 # -- exit codes and text output ------------------------------------------------
 
 
@@ -242,6 +290,28 @@ def test_integers_past_the_str_digit_limit_render(capsys, monkeypatch):
     code, out, _ = run_main(capsys, "pell", "2")
     assert code == 0 and out == f"t={digits} u=3\n"
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no int<->str digit limit")
+def test_verify_reads_integers_past_the_str_digit_limit(capsys):
+    # a ~5000-digit solution of x^2 - 2y^2 = 1, the first column of a power
+    # of the automorph [[3,4],[2,3]] of [1,0,-2]
+    m = Mat2(3, 4, 2, 3) ** 6600
+    x, y = m.p, m.r
+    assert x * x - 2 * y * y == 1
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    xs, ys = str(x), str(y)
+    assert len(ys) > 4300
+    sys.set_int_max_str_digits(4300)  # the default, which the CLI must restore
+    try:
+        code, out, err = run_main(capsys, "verify", "2", "1", "0", "-2", "1", xs, ys)
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(before)
+    assert code == 0 and err == ""
+    assert out.splitlines() == ["value 1", "representation true", "proper true"]
 
 
 def test_main_unexpected_error_exit_3(capsys, monkeypatch):
