@@ -6,6 +6,12 @@ yields one class of solutions, the orbit of its first column under a
 transported stabilizer generator.  The classes partition all proper
 representations, so bounded enumeration of each class recovers exactly
 the solutions in a box.
+
+The residues come from the factorisation of |m| (trial division, then
+Miller-Rabin and Brent's rho): square roots mod each prime power, by
+Tonelli-Shanks and Hensel lifting, joined by the Chinese remainder
+theorem (Cohen, GTM 138, section 1.5 and chapter 8).  A solve costs the
+factoring plus one equivalence test per residue.
 """
 
 from __future__ import annotations
@@ -16,17 +22,134 @@ from dataclasses import dataclass
 from .errors import InvalidArgument, InternalLimit, NotDivisible, ZeroTarget
 from .forms import Form, act, stabilizer_generator
 from .forms import equivalent_sl as _equivalent_sl
+from .groupoid import DEFAULT_CAP
 from .lattice import Mat2
 
 _ENUM_CAP = 10**6
+_TRIAL_BOUND = 10**4
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Miller-Rabin on the 13 bases above is exact below this bound
+# (Sorenson & Webster 2015); a probable prime past it is not certified.
+_MR_EXACT_BELOW = 3317044064679887385961981
 
 
-def residue_classes(delta: int, m: int) -> list[int]:
-    """All n in [0, |m|) with n^2 = delta (mod |m|), by exhaustive scan."""
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin on _MR_BASES, exact for 2 <= n < _MR_EXACT_BELOW."""
+    if any(n % a == 0 for a in _MR_BASES):
+        return n in _MR_BASES
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    if n >= _MR_EXACT_BELOW:
+        raise InternalLimit(f"cannot certify {n} prime: Miller-Rabin on bases 2..41 "
+                            f"is exact only below {_MR_EXACT_BELOW}")
+    return True
+
+
+def _rho(n: int, spent: int, cap: int) -> tuple[int, int]:
+    """(a proper factor of the composite n, rho steps spent so far), by
+    Pollard rho with Brent's cycle finding and gcds batched over 128 steps."""
+    for c in range(1, n):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x, k, spent = y, 0, spent + 2 * r  # this round takes at most 2r steps
+            if spent > cap:
+                raise InternalLimit(f"factoring {n} exceeded {cap} rho steps")
+            for _ in range(r):
+                y = (y * y + c) % n
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g, k = math.gcd(q, n), k + 128
+            r *= 2
+        if g == n:  # the batch overshot: replay it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g, spent
+    raise InternalLimit(f"rho found no factor of {n}")
+
+
+def _factor(n: int, cap: int) -> dict[int, int]:
+    """{p: e} with n = prod p^e, for n >= 1, spending at most cap rho steps."""
+    out: dict[int, int] = {}
+    p = 2
+    while p < _TRIAL_BOUND and p * p <= n:
+        while n % p == 0:
+            out[p], n = out.get(p, 0) + 1, n // p
+        p += 1 if p == 2 else 2
+    stack, spent = [n] if n > 1 else [], 0
+    while stack:
+        n = stack.pop()
+        if _is_prime(n):
+            out[n] = out.get(n, 0) + 1
+        else:
+            d, spent = _rho(n, spent, cap)
+            stack += [d, n // d]
+    return out
+
+
+def _sqrt_mod_prime_power(d: int, p: int, e: int) -> list[int]:
+    """All n in [0, p^e) with n^2 = d (mod p^e), for a prime p."""
+    pe = p**e
+    if p == 2:  # every root mod 2^(k+1) is r or r + 2^k for a root r mod 2^k
+        roots = [0]
+        for k in range(e):
+            roots = [x for r in roots for x in (r, r + (1 << k))
+                     if (x * x - d) % (2 << k) == 0]
+        return roots
+    if e == 0 or (e == 1 and d % p == 0):
+        return [0]
+    if d % p == 0:  # then p | n, p^2 | d, and n/p is a root of d/p^2 mod p^(e-2)
+        top = p ** (e - 1)
+        return [] if d % (p * p) else [p * n + k * top for k in range(p)
+                                       for n in _sqrt_mod_prime_power(d // (p * p), p, e - 2)]
+    if pow(d, (p - 1) // 2, p) != 1:
+        return []
+    q, s = p - 1, 0  # Tonelli-Shanks for the root mod p
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+    c, t, r = pow(z, q, p), pow(d, q, p), pow(d, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2, i = t2 * t2 % p, i + 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    for _ in range(e.bit_length()):  # Hensel by Newton: each step doubles the precision
+        r = (r - (r * r - d) * pow(2 * r, -1, pe)) % pe
+    return [r, pe - r]
+
+
+def residue_classes(delta: int, m: int, cap: int | None = None) -> list[int]:
+    """All n in [0, |m|) with n^2 = delta (mod |m|), sorted: square roots
+    mod each prime power of |m| joined by the Chinese remainder theorem.
+    Factoring |m| spends at most ``cap`` rho steps (default DEFAULT_CAP)."""
     if m == 0:
         raise ZeroTarget("m = 0 has no residue classes")
-    mm = abs(m)
-    return [n for n in range(mm) if (n * n - delta) % mm == 0]
+    roots, mod = [0], 1
+    for p, e in _factor(abs(m), DEFAULT_CAP if cap is None else cap).items():
+        pe = p**e
+        rs = _sqrt_mod_prime_power(delta, p, e)
+        inv = pow(mod, -1, pe)
+        roots = [x + mod * ((r - x) * inv % pe) for x in roots for r in rs]
+        mod *= pe
+    return sorted(roots)
 
 
 def attach_form(n: int, m: int, delta: int) -> Form:
@@ -64,7 +187,9 @@ def solve_proper(f: Form, m: int, cap: int | None = None) -> SolveReport:
         raise ZeroTarget("m = 0 is out of scope")
     delta = f.disc
     classes = []
-    for n in residue_classes(delta, m):
+    for n in residue_classes(delta, m, cap):
+        if (n * n - delta) % abs(m) != 0:
+            raise InternalLimit(f"residue {n} is not a root of {delta} mod {m}")
         fn = attach_form(n, m, delta)
         h0 = _equivalent_sl(f, fn, cap)
         if h0 is None:
@@ -72,8 +197,8 @@ def solve_proper(f: Form, m: int, cap: int | None = None) -> SolveReport:
         a = stabilizer_generator(fn, cap)
         b = h0 * a * h0.inv()
         sol = h0.first_column()
-        assert f(*sol) == m and math.gcd(*sol) == 1
-        assert act(f, b) == f
+        if f(*sol) != m or math.gcd(*sol) != 1 or act(f, b) != f:
+            raise InternalLimit(f"class of residue {n} failed its certificate")
         classes.append(RepClass(n, fn, h0, sol, b))
     return SolveReport(form=f, m=m, delta=delta, classes=tuple(classes))
 
@@ -128,9 +253,9 @@ def proper_residue(f: Form, m: int, x: int, y: int) -> int:
     if not is_proper:
         raise InvalidArgument(f"({x}, {y}) is not a proper representation of {m}")
     g, s, t = _egcd(x, y)
-    assert g == 1
+    if g != 1 or x * s + y * t != 1:
+        raise InternalLimit(f"no determinant 1 completion of ({x}, {y})")
     h = Mat2(x, -t, y, s)
-    assert h.det == 1
     return act(f, h).b % abs(m)
 
 

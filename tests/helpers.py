@@ -3,9 +3,9 @@
 The oracles deliberately avoid the library's own code paths: floors and
 continued-fraction quotients come from escalating-precision interval
 arithmetic over plain Fractions, Pell minimality from the classical
-integer convergent recurrence, solution sets from box scans, and
-equivalence reachability from a breadth-first walk over raw coefficient
-triples.
+integer convergent recurrence, solution sets and square roots mod m
+from scans, and equivalence reachability from a breadth-first walk over
+raw coefficient triples.
 """
 
 from __future__ import annotations
@@ -193,6 +193,12 @@ def normal_form_candidates(g, x: QuadIrr, max_sum: int) -> list[tuple[int, int]]
 
 
 # -- arithmetic oracles ----------------------------------------------------
+
+
+def residue_classes_by_scan(delta: int, m: int) -> list[int]:
+    """All n in [0, |m|) with n^2 = delta (mod |m|), by exhaustive scan."""
+    mm = abs(m)
+    return [n for n in range(mm) if (n * n - delta) % mm == 0]
 
 
 def brute_force_proper(f: Form, m: int, box: int) -> set[tuple[int, int]]:

@@ -1,5 +1,6 @@
 import json
 import sys
+import time
 
 import pytest
 
@@ -214,6 +215,24 @@ def test_main_cap_trips_exit_3(capsys):
     assert "limit" in err.lower()
 
 
+def test_cap_bounds_solve_at_a_25_digit_target(capsys):
+    m = str(10**24 + 7)
+    start = time.perf_counter()
+    code, _, err = run_main(capsys, "solve", "2", "1", "0", "-2", m, "--bound", "3",
+                            "--cap", "5")
+    assert code == 3 and "limit" in err.lower()
+    assert time.perf_counter() - start < 2
+    code, out, _ = run_main(capsys, "solve", "2", "1", "0", "-2", m, "--bound", "3")
+    assert code == 0
+    assert "classes 2" in out.splitlines()
+
+
+def test_cap_bounds_factoring(capsys):
+    code, _, err = run_main(capsys, "solve", "2", "1", "0", "-2", str(999983 * 1000003),
+                            "--cap", "5")
+    assert code == 3 and "rho steps" in err
+
+
 def test_output_is_deterministic(capsys):
     one = run_main(capsys, "solve", "2", "1", "0", "-2", "7")
     two = run_main(capsys, "solve", "2", "1", "0", "-2", "7")
@@ -281,15 +300,23 @@ def test_integers_past_the_str_digit_limit_render(capsys, monkeypatch):
         return 0, {"delta": cmd.delta}, {"t": t, "u": u}, [f"t={t} u={u}"], 1
 
     monkeypatch.setitem(cli._RUNNERS, "pell", fake_pell)
-    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    code, out, err = run_main(capsys, "pell", "2", "--json")
-    assert code == 0 and err == ""
-    result = json.loads(out)["result"]
-    assert result["t"] == digits
-    assert result["u"] == 3
-    code, out, _ = run_main(capsys, "pell", "2")
-    assert code == 0 and out == f"t={digits} u=3\n"
-    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    has_limit = hasattr(sys, "set_int_max_str_digits")
+    if has_limit:
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)  # the default, which the CLI must restore
+    try:
+        code, out, err = run_main(capsys, "pell", "2", "--json")
+        assert code == 0 and err == ""
+        result = json.loads(out)["result"]
+        assert result["t"] == digits
+        assert result["u"] == 3
+        code, out, _ = run_main(capsys, "pell", "2")
+        assert code == 0 and out == f"t={digits} u=3\n"
+        if has_limit:
+            assert sys.get_int_max_str_digits() == 4300
+    finally:
+        if has_limit:
+            sys.set_int_max_str_digits(before)
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),

@@ -1,10 +1,16 @@
+import importlib.util
 import math
 import random
+import sys
+from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from quadform import (
     Form,
+    InternalLimit,
     InvalidArgument,
     NotDivisible,
     RepClass,
@@ -18,7 +24,9 @@ from quadform import (
     stabilizer_generator,
     verify_representation,
 )
-from helpers import brute_force_proper
+from quadform import solver
+from quadform.solver import _factor, _is_prime
+from helpers import brute_force_proper, residue_classes_by_scan
 
 F2 = Form(1, 0, -2)
 
@@ -32,6 +40,109 @@ def test_residue_classes_examples():
 def test_residue_classes_zero_target():
     with pytest.raises(ZeroTarget):
         residue_classes(2, 0)
+
+
+def _load_sqrt_count():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module.sqrt_count
+
+
+sqrt_count = _load_sqrt_count()
+
+
+def _check_residues(delta, m):
+    got = residue_classes(delta, m)
+    assert got == residue_classes_by_scan(delta, m), (delta, m)
+    assert len(got) == sqrt_count(delta, m), (delta, m)
+
+
+@given(st.integers(-10**3, 10**5), st.integers(-10**4, 10**4).filter(lambda m: m != 0))
+@settings(deadline=None, max_examples=300)
+def test_residue_classes_match_the_scan(delta, m):
+    _check_residues(delta, m)
+
+
+@pytest.mark.parametrize("delta", [0, 1, 4, 5, 8, 9, 12, 13, 16, 17, 20, 21, 64, 68,
+                                   -3, -4, -7, -8, 2, 3, 6, 7])
+def test_residue_classes_at_powers_of_two(delta):
+    # delta = 0, 1, 4 and 5 mod 8 (and the rest), m = +-2^k and 2^k * odd
+    for k in range(13):
+        for odd in (1, 3, 5):
+            _check_residues(delta, (2**k) * odd)
+            _check_residues(delta, -(2**k) * odd)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_residue_classes_when_p_squared_divides_delta(p):
+    for delta in (p * p, 2 * p * p, 3 * p**4, p**3, 5 * p**5, 0):
+        for e in range(1, 7):
+            for cofactor in (1, 11, 4 if p != 2 else 9):
+                if p**e * cofactor <= 10**5:
+                    _check_residues(delta, p**e * cofactor)
+
+
+def test_residue_classes_for_a_large_prime_dividing_delta():
+    # each branch is cheap in p: the scan over [0, |m|) would not finish
+    p = 1000003
+    assert residue_classes(2 * p, p) == [0]
+    assert residue_classes(2 * p, p**3) == []
+    q = 10007
+    assert residue_classes(3 * q * q, q * q) == list(range(0, q * q, q))
+    assert residue_classes(2 * q * q, 7 * q * q) == [
+        n for n in range(0, 7 * q * q, q) if (n * n - 2 * q * q) % (7 * q * q) == 0]
+    assert len(residue_classes(2, 1000000000039)) == 2
+
+
+def _check_factorisation(n, cap=10**6):
+    fac = _factor(n, cap)
+    assert math.prod(p**e for p, e in fac.items()) == n
+    assert all(_is_prime(p) and e >= 1 for p, e in fac.items())
+    return fac
+
+
+def test_factor_random_integers_and_semiprimes():
+    rng = random.Random(6)
+    for _ in range(200):
+        _check_factorisation(rng.randint(1, 10**14))
+    assert _check_factorisation(999983 * 1000003) == {999983: 1, 1000003: 1}
+    assert _check_factorisation(1000003**2 * 1000033) == {1000003: 2, 1000033: 1}
+    assert _check_factorisation(10007**3 * 10009**2) == {10007: 3, 10009: 2}
+    assert _check_factorisation(999999999989 * 1000000000039, cap=10**7) == \
+        {999999999989: 1, 1000000000039: 1}
+
+
+def test_factor_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(7)
+    for _ in range(200):
+        n = rng.randint(1, 10**14)
+        assert _factor(n, 10**6) == sympy.factorint(n), n
+
+
+def test_is_prime_against_the_scan():
+    primes = [n for n in range(2, 3000) if all(n % d for d in range(2, math.isqrt(n) + 1))]
+    assert [n for n in range(2, 3000) if _is_prime(n)] == primes
+
+
+def test_uncertifiable_prime_raises():
+    # 2^89 - 1 is prime, past the bound where Miller-Rabin on bases 2..41 is exact
+    with pytest.raises(InternalLimit, match="3317044064679887385961981"):
+        _factor(2**89 - 1, 10**6)
+    with pytest.raises(InternalLimit, match="3317044064679887385961981"):
+        residue_classes(2, 3 * (2**89 - 1))
+    assert _factor(3317044064679887385961813, 10**6) == {3317044064679887385961813: 1}
+
+
+def test_rho_respects_cap():
+    n = 999983 * 1000003
+    with pytest.raises(InternalLimit, match="exceeded 5 rho steps"):
+        residue_classes(2, n, cap=5)
+    with pytest.raises(InternalLimit, match="exceeded 5 rho steps"):
+        solve_proper(F2, n, cap=5)
 
 
 def test_attach_form_examples():
@@ -154,6 +265,25 @@ def test_residue_of_any_proper_rep_is_a_class_residue():
         allowed = set(residue_classes(2, m))
         for (x, y) in reps:
             assert proper_residue(F2, m, x, y) in allowed
+
+
+def test_solve_rejects_a_wrong_residue(monkeypatch):
+    monkeypatch.setattr(solver, "residue_classes", lambda delta, m, cap=None: [1, 3])
+    with pytest.raises(InternalLimit, match="residue 1"):
+        solve_proper(F2, 7)
+
+
+def test_solve_rejects_a_wrong_automorph(monkeypatch):
+    monkeypatch.setattr(solver, "stabilizer_generator",
+                        lambda f, cap=None: stabilizer_generator(Form(1, 0, -3)))
+    with pytest.raises(InternalLimit, match="certificate"):
+        solve_proper(F2, 7)
+
+
+def test_proper_residue_rejects_a_wrong_completion(monkeypatch):
+    monkeypatch.setattr(solver, "_egcd", lambda a, b: (1, 0, 0))
+    with pytest.raises(InternalLimit, match="completion"):
+        proper_residue(F2, 7, 3, 1)
 
 
 def test_verify_representation_examples():
