@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DiscriminantMismatch, InvalidDiscriminant, NotAFormRoot
+from .errors import DiscriminantMismatch, InternalLimit, InvalidDiscriminant, NotAFormRoot
 from .exact import QuadIrr, check_discriminant, is_square
 from .groupoid import cycle_loop, hom_in_H, orbit
 from .lattice import Mat2, PMat
@@ -77,7 +77,8 @@ def form_from_root(x: QuadIrr) -> Form:
         raise NotAFormRoot(f"{x}: trailing coefficient {b * b - x.delta}/{a} "
                            "is not an integer")
     f = Form(a, b, c)
-    assert root(f) == x
+    if root(f) != x:
+        raise InternalLimit(f"form of root {x} failed its certificate")
     return f
 
 
@@ -93,7 +94,8 @@ def equivalent_sl(f1: Form, f2: Form, cap: int | None = None) -> Mat2 | None:
     if g is None:
         return None
     h = g.mat.rep.inv()
-    assert act(f1, h) == f2
+    if act(f1, h) != f2:
+        raise InternalLimit(f"substitution from {f1} to {f2} failed its certificate")
     return h
 
 
@@ -106,8 +108,8 @@ def stabilizer_generator(f: Form, cap: int | None = None) -> Mat2:
     """
     x = root(f)
     h = cycle_loop(x, 1 + orbit(x, cap).cycle_len % 2, cap).mat.rep
-    assert act(f, h) == f
-    assert h != Mat2.identity() and h != -Mat2.identity()
+    if act(f, h) != f or h in (Mat2.identity(), -Mat2.identity()):
+        raise InternalLimit(f"stabilizer of {f} failed its certificate")
     return h
 
 
@@ -118,5 +120,6 @@ def pell_fundamental(delta: int, cap: int | None = None) -> tuple[int, int]:
     h = stabilizer_generator(Form(1, 0, -delta), cap)
     t = abs(h.trace) // 2
     u = abs(h.r)
-    assert t * t - delta * u * u == 1
+    if t * t - delta * u * u != 1:
+        raise InternalLimit(f"Pell solution for {delta} failed its certificate")
     return t, u

@@ -2,10 +2,10 @@
 
 Each residue n with n^2 = disc (mod |m|) attaches the form
 [m, n, (n^2-disc)/m]; a substitution carrying f onto the attached form
-yields one class of solutions, the orbit of its first column under a
-transported stabilizer generator.  The classes partition all proper
-representations, so bounded enumeration of each class recovers exactly
-the solutions in a box.
+yields one class of solutions, the orbit of its first column under f's
+positive-trace generator of Aut+(f), computed once per solve and shared
+by every class.  The classes partition all proper representations, so
+bounded enumeration of each class recovers exactly the solutions in a box.
 
 The residues come from the factorisation of |m| (trial division, then
 Miller-Rabin and Brent's rho): square roots mod each prime power, by
@@ -163,8 +163,8 @@ def attach_form(n: int, m: int, delta: int) -> Form:
 
 @dataclass(frozen=True)
 class RepClass:
-    """One class of proper representations: base solution plus the
-    transported stabilizer generator whose orbit fills the class."""
+    """One class of proper representations: the orbit of base_solution
+    under automorph, f's positive-trace Aut+(f) generator shared by all classes."""
 
     n: int
     attached: Form
@@ -186,7 +186,7 @@ def solve_proper(f: Form, m: int, cap: int | None = None) -> SolveReport:
     if m == 0:
         raise ZeroTarget("m = 0 is out of scope")
     delta = f.disc
-    classes = []
+    classes, b = [], None
     for n in residue_classes(delta, m, cap):
         if (n * n - delta) % abs(m) != 0:
             raise InternalLimit(f"residue {n} is not a root of {delta} mod {m}")
@@ -194,8 +194,9 @@ def solve_proper(f: Form, m: int, cap: int | None = None) -> SolveReport:
         h0 = _equivalent_sl(f, fn, cap)
         if h0 is None:
             continue
-        a = stabilizer_generator(fn, cap)
-        b = h0 * a * h0.inv()
+        if b is None:  # Aut+(f) belongs to f: one generator serves every class
+            b = stabilizer_generator(f, cap)
+            b = -b if b.trace < 0 else b
         sol = h0.first_column()
         if f(*sol) != m or math.gcd(*sol) != 1 or act(f, b) != f:
             raise InternalLimit(f"class of residue {n} failed its certificate")

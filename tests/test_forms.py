@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -5,10 +6,12 @@ import pytest
 from quadform import (
     DiscriminantMismatch,
     Form,
+    InternalLimit,
     InvalidDiscriminant,
     Mat2,
     NotAFormRoot,
     act,
+    cycle_loop,
     equivalent_sl,
     form_from_root,
     mobius_apply,
@@ -17,6 +20,7 @@ from quadform import (
     root,
     stabilizer_generator,
 )
+from quadform import forms
 from helpers import (
     automorphs_by_scan,
     matrices_to_form_by_scan,
@@ -192,7 +196,6 @@ def test_pell_examples():
 
 
 def test_pell_minimal_for_small_deltas():
-    import math
     for delta in range(2, 51):
         if math.isqrt(delta) ** 2 == delta:
             continue
@@ -206,3 +209,45 @@ def test_pell_rejects_bad_delta():
         pell_fundamental(9)
     with pytest.raises(InvalidDiscriminant):
         pell_fundamental(0)
+
+
+def test_pell_matches_sympy():
+    diop_DN = pytest.importorskip("sympy.solvers.diophantine.diophantine").diop_DN
+    for delta in range(2, 2000):
+        if math.isqrt(delta) ** 2 != delta:
+            assert pell_fundamental(delta) == diop_DN(delta, 1)[0], delta
+
+
+# Each certificate check must reject a corrupted intermediate with
+# InternalLimit, so it still runs under python -O.
+
+def test_form_from_root_rejects_a_wrong_root(monkeypatch):
+    x = root(Form(7, 4, 2))
+    wrong = root(Form(1, 0, -2))
+    monkeypatch.setattr(forms, "root", lambda f: wrong)
+    with pytest.raises(InternalLimit, match="certificate"):
+        form_from_root(x)
+
+
+def test_equivalent_sl_rejects_a_wrong_morphism(monkeypatch):
+    hom = forms.hom_in_H
+    monkeypatch.setattr(forms, "hom_in_H", lambda x, y, cap=None: hom(x, x, cap))
+    with pytest.raises(InternalLimit, match="certificate"):
+        equivalent_sl(Form(1, 0, -2), Form(7, 4, 2))
+
+
+@pytest.mark.parametrize("wrong", [
+    lambda x, winding, cap: cycle_loop(root(Form(1, 0, -3)), winding, cap),
+    lambda x, winding, cap: forms.hom_in_H(x, x, cap),
+], ids=["fixes another form", "identity"])
+def test_stabilizer_generator_rejects_a_wrong_loop(monkeypatch, wrong):
+    monkeypatch.setattr(forms, "cycle_loop", lambda x, winding=1, cap=None: wrong(x, winding, cap))
+    with pytest.raises(InternalLimit, match="certificate"):
+        stabilizer_generator(Form(1, 0, -2))
+
+
+def test_pell_fundamental_rejects_a_wrong_stabilizer(monkeypatch):
+    monkeypatch.setattr(forms, "stabilizer_generator",
+                        lambda f, cap=None: stabilizer_generator(Form(1, 0, -3)))
+    with pytest.raises(InternalLimit, match="certificate"):
+        pell_fundamental(2)

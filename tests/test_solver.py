@@ -12,6 +12,7 @@ from quadform import (
     Form,
     InternalLimit,
     InvalidArgument,
+    InvalidDiscriminant,
     NotDivisible,
     RepClass,
     ZeroTarget,
@@ -278,6 +279,64 @@ def test_solve_rejects_a_wrong_automorph(monkeypatch):
                         lambda f, cap=None: stabilizer_generator(Form(1, 0, -3)))
     with pytest.raises(InternalLimit, match="certificate"):
         solve_proper(F2, 7)
+
+
+def test_solve_computes_the_automorph_of_f_once(monkeypatch):
+    calls = []
+
+    def counted(f, cap=None):
+        calls.append(f)
+        return stabilizer_generator(f, cap)
+
+    monkeypatch.setattr(solver, "stabilizer_generator", counted)
+    assert len(solve_proper(F2, 7).classes) == 2
+    assert calls == [F2]
+    calls.clear()
+    assert solve_proper(F2, 3).classes == ()
+    assert calls == []
+
+
+def _random_indefinite_form(rng, span=30):
+    while True:
+        try:
+            return Form(*(rng.randint(-span, span) for _ in range(3)))
+        except InvalidDiscriminant:
+            pass
+
+
+def test_every_class_shares_the_positive_trace_automorph_of_f():
+    # the generator transported from each attached form, h0 * a * h0^-1,
+    # is the same matrix as f's own generator signed to positive trace
+    rng = random.Random(2008)
+    checked = 0
+    for i in range(240):
+        f = _random_indefinite_form(rng)
+        x, y = rng.randint(-40, 40), rng.randint(1, 40)
+        m = f(x, y) if i % 2 and math.gcd(x, y) == 1 and f(x, y) else \
+            rng.choice([-1, 1]) * rng.randint(1, 10**6)
+        g = stabilizer_generator(f)
+        g = -g if g.trace < 0 else g
+        for c in solve_proper(f, m).classes:
+            h0 = c.base_matrix
+            assert c.automorph == h0 * stabilizer_generator(c.attached) * h0.inv() == g
+            checked += 1
+    assert checked >= 200
+
+
+def test_solutions_match_sympy_diop_DN():
+    # every primitive solution sympy finds for x^2 - D*y^2 = N lies in a class
+    diop_DN = pytest.importorskip("sympy.solvers.diophantine.diophantine").diop_DN
+    found = 0
+    for delta in (2, 3, 5, 7, 13, 21, 61, 94):
+        f = Form(1, 0, -delta)
+        for n in [n for n in range(-30, 31) if n]:
+            report = solve_proper(f, n)
+            for x, y in diop_DN(delta, n):
+                if math.gcd(x, y) == 1:
+                    bound = max(abs(x), abs(y))
+                    assert any((x, y) in enumerate_solutions(c, bound) for c in report.classes)
+                    found += 1
+    assert found >= 200
 
 
 def test_proper_residue_rejects_a_wrong_completion(monkeypatch):
