@@ -10,6 +10,7 @@ classical convergent recurrence.
 
 import argparse
 import math
+import sys
 
 from quadform import pell_fundamental
 
@@ -39,9 +40,10 @@ def main():
         if math.isqrt(d) ** 2 == d:
             continue
         t, u = pell_fundamental(d)
-        assert t * t - d * u * u == 1
-        if args.verify:
-            assert convergent_check(d, t, u), d
+        if t * t - d * u * u != 1:
+            sys.exit(f"D={d}: t={t} u={u} does not solve t^2 - D*u^2 = 1")
+        if args.verify and not convergent_check(d, t, u):
+            sys.exit(f"D={d}: t={t} u={u} differs from the convergent recurrence")
         print(f"{d:>5}  {t:>24}  {u:>24}")
 
 

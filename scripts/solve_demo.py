@@ -5,6 +5,7 @@ Usage: python scripts/solve_demo.py [--bound B]
 """
 
 import argparse
+import sys
 
 from quadform import Form, enumerate_solutions, solve_proper
 
@@ -37,8 +38,9 @@ def main():
             print(f"    {len(sols)} solutions up to {args.bound}: "
                   + " ".join(str(s) for s in sols[:8])
                   + (" ..." if len(sols) > 8 else ""))
-            for x, y in sols:
-                assert f(x, y) == m
+            wrong = [s for s in sols if f(*s) != m]
+            if wrong:
+                sys.exit(f"{f} at {wrong[0]} is {f(*wrong[0])}, not {m}")
 
 
 if __name__ == "__main__":

@@ -6,7 +6,8 @@ coefficient; pass --middle to give the full even coefficient instead), and
 quadratic irrationals as four integers p q r D meaning (p + q*sqrt(D))/r.
 
 Exit codes: 0 success, 1 well-formed query with a negative answer,
-2 invalid input, 3 internal safety limit or unexpected error (a bug).
+2 invalid input, 3 internal safety limit, failed certificate or
+unexpected error (a bug).
 With --json the single output line is one JSON object {inputs, result,
 stats, verb} with sorted keys; integers that may exceed 2^53-1 are emitted
 as decimal strings of any length, and integer arguments may be as long.
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 import traceback
@@ -312,7 +314,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"internal error: {e!r} at {where.filename}:{where.lineno}", file=sys.stderr)
         return 3
     if text:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:  # the reader left early; keep the exit flush quiet too
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

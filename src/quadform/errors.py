@@ -46,4 +46,5 @@ class NotDivisible(QuadformError, ValueError):
 
 
 class InternalLimit(QuadformError, RuntimeError):
-    """A safety cap was hit; indicates a bug, not a normal outcome."""
+    """A safety cap was hit or a certificate failed; indicates a bug, not a
+    normal outcome."""

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DiscriminantMismatch, InternalLimit, InvalidDiscriminant, NotAFormRoot
-from .exact import QuadIrr, check_discriminant, is_square
+from .exact import QuadIrr, is_square
 from .groupoid import cycle_loop, hom_in_H, orbit
 from .lattice import Mat2, PMat
 
@@ -116,7 +116,6 @@ def stabilizer_generator(f: Form, cap: int | None = None) -> Mat2:
 def pell_fundamental(delta: int, cap: int | None = None) -> tuple[int, int]:
     """Minimal t, u >= 1 with t^2 - delta*u^2 = 1, read off the stabilizer
     generator of [1, 0, -delta]."""
-    check_discriminant(delta)
     h = stabilizer_generator(Form(1, 0, -delta), cap)
     t = abs(h.trace) // 2
     u = abs(h.r)

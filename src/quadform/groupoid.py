@@ -144,10 +144,12 @@ def orbit(x: QuadIrr, cap: int | None = None) -> Orbit:
 @dataclass(frozen=True)
 class Morphism:
     """Reduced word from source to target: i descent steps on the source
-    orbit, j ascent steps on the target orbit, matrix = B_j * A_i^(-1)."""
+    orbit, j ascent steps on the target orbit, matrix = B_j * A_i^(-1).
+    The endpoints are the orbits' points; the rest is checked on
+    construction as a certificate, under ``python -O`` too."""
 
-    source: QuadIrr
-    target: QuadIrr
+    source: QuadIrr = field(init=False)
+    target: QuadIrr = field(init=False)
     i: int
     j: int
     mat: PMat
@@ -155,16 +157,15 @@ class Morphism:
     tgt_orbit: Orbit = field(compare=False, repr=False)
 
     def __post_init__(self):
-        assert self.i >= 0 and self.j >= 0
-        assert self.src_orbit.point == self.source
-        assert self.tgt_orbit.point == self.target
-        assert self.src_orbit.point_at(self.i) == self.tgt_orbit.point_at(self.j)
-        if self.i > 0 and self.j > 0:
-            assert self.src_orbit.point_at(self.i - 1) != self.tgt_orbit.point_at(self.j - 1)
-        if self.i == 0 and self.j == 0:
-            assert self.mat == PMat.identity() and self.source == self.target
-        assert self.mat.det == (-1) ** (self.i + self.j)
-        assert mobius_apply(self.mat, self.source) == self.target
+        src, tgt, i, j = self.src_orbit, self.tgt_orbit, self.i, self.j
+        object.__setattr__(self, "source", src.point)
+        object.__setattr__(self, "target", tgt.point)
+        if not (i >= 0 and j >= 0 and src.point_at(i) == tgt.point_at(j)
+                and not (i and j and src.point_at(i - 1) == tgt.point_at(j - 1))
+                and (i or j or self.mat == PMat.identity())
+                and self.mat.det == (-1) ** (i + j)
+                and mobius_apply(self.mat, self.source) == self.target):
+            raise InternalLimit(f"morphism {self} with matrix {self.mat} failed its certificate")
 
     @property
     def is_identity(self) -> bool:
@@ -180,7 +181,7 @@ def _reduced(src_orb: Orbit, tgt_orb: Orbit, i: int, j: int, mat: PMat) -> Morph
     while i > 0 and j > 0 and src_orb.point_at(i - 1) == tgt_orb.point_at(j - 1):
         i -= 1
         j -= 1
-    return Morphism(src_orb.point, tgt_orb.point, i, j, mat, src_orb, tgt_orb)
+    return Morphism(i, j, mat, src_orb, tgt_orb)
 
 
 def _loop(orb: Orbit, k: int, mat: PMat) -> Morphism:
@@ -189,12 +190,12 @@ def _loop(orb: Orbit, k: int, mat: PMat) -> Morphism:
     return."""
     pre, turns = orb.pre_len, abs(k) * orb.cycle_len
     i, j = (pre, pre + turns) if k > 0 else (pre + turns, pre)
-    return Morphism(orb.point, orb.point, i, j, mat, orb, orb)
+    return Morphism(i, j, mat, orb, orb)
 
 
 def identity_morphism(x: QuadIrr, cap: int | None = None) -> Morphism:
     orb = orbit(x, cap)
-    return Morphism(x, x, 0, 0, PMat.identity(), orb, orb)
+    return Morphism(0, 0, PMat.identity(), orb, orb)
 
 
 def hom_base(x: QuadIrr, y: QuadIrr, cap: int | None = None) -> Morphism | None:
@@ -225,9 +226,7 @@ def hom_in_H(x: QuadIrr, y: QuadIrr, cap: int | None = None) -> Morphism | None:
         return None
     if base.mat.det == 1:
         return base
-    cyc = base.src_orbit.cycle_len
-    assert cyc == base.tgt_orbit.cycle_len
-    if cyc % 2 == 0:
+    if base.src_orbit.cycle_len % 2 == 0:
         return None
     return compose(base, cycle_loop(x, 1, cap))
 
@@ -310,7 +309,7 @@ def compose(m2: Morphism, m1: Morphism) -> Morphism:
 
 def invert(m: Morphism) -> Morphism:
     """Swap endpoints and descent/ascent counts; matrix inverts."""
-    return Morphism(m.target, m.source, m.j, m.i, m.mat.inv(), m.tgt_orbit, m.src_orbit)
+    return Morphism(m.j, m.i, m.mat.inv(), m.tgt_orbit, m.src_orbit)
 
 
 def free_extend(target, m: Morphism):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotUnimodular
+from .errors import InternalLimit, NotUnimodular
 from .exact import QuadIrr
 
 
@@ -122,6 +122,6 @@ def mobius_apply(a: Mat2 | PMat, x: QuadIrr) -> QuadIrr:
     """(p*x + q) / (r*x + s); the same for a and -a."""
     m = a.rep if isinstance(a, PMat) else a
     res = (m.p * x + m.q) / (m.r * x + m.s)
-    # a unimodular matrix maps an irrational to an irrational
-    assert isinstance(res, QuadIrr)
+    if not isinstance(res, QuadIrr):  # a unimodular map keeps irrationals irrational
+        raise InternalLimit(f"{a} maps {x} to the rational {res}: certificate failed")
     return res

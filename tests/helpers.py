@@ -5,15 +5,21 @@ continued-fraction quotients come from escalating-precision interval
 arithmetic over plain Fractions, Pell minimality from the classical
 integer convergent recurrence, solution sets and square roots mod m
 from scans, and equivalence reachability from a breadth-first walk over
-raw coefficient triples.
+raw coefficient triples.  ``run_python`` runs a fresh interpreter (with
+or without ``-O``) on this checkout's package.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 from collections import deque
 from fractions import Fraction
+from pathlib import Path
 
+import quadform
 from quadform import (
     Form,
     Mat2,
@@ -385,3 +391,19 @@ def forms_with(delta: int, coef_bound: int) -> list[Form]:
             if abs(c) <= coef_bound:
                 out.append(Form(a, b, c))
     return out
+
+
+# -- fresh interpreters ------------------------------------------------------
+
+
+SRC_DIR = Path(quadform.__file__).resolve().parents[1]
+
+
+def run_python(*args, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+    """``python *args`` in a new process that imports this quadform; stderr
+    (and by default stdout) is captured as text."""
+    path = os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    env.pop("PYTHONOPTIMIZE", None)
+    return subprocess.run([sys.executable, *args], env=env, stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=60)

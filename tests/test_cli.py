@@ -1,12 +1,18 @@
+import io
 import json
+import os
 import sys
 import time
+from contextlib import redirect_stdout
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from quadform import Form, Mat2, act
 from quadform import cli
 from quadform.cli import Command, UsageError, canonical_json, main, parse_args, run
+from helpers import run_python
 
 
 def run_main(capsys, *argv):
@@ -341,6 +347,37 @@ def test_verify_reads_integers_past_the_str_digit_limit(capsys):
     assert out.splitlines() == ["value 1", "representation true", "proper true"]
 
 
+def test_certificate_check_runs_under_python_O():
+    # a wrong but unimodular matrix in hom_base's product must stop equiv at
+    # the morphism's certificate, also when asserts are compiled out
+    code = ("import sys\n"
+            "from quadform import Mat2, cli, groupoid\n"
+            "product = groupoid.generator_product\n"
+            "groupoid.generator_product = lambda qs: product(qs) * Mat2(1, len(qs), 0, 1)\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n")
+    proc = run_python("-O", "-c", code, "equiv", "2", "1", "0", "-2", "7", "4", "2")
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("internal limit: morphism")
+    assert "certificate" in proc.stderr
+
+
+@pytest.mark.parametrize("argv, exit_code", [
+    (["orbit", "0", "1", "1", "1000003"], 0),
+    (["equiv", "13", "1", "0", "-13", "-2", "3", "2"], 1),
+], ids=["orbit", "equiv"])
+def test_closed_stdout_is_not_a_crash(argv, exit_code):
+    # the reader is gone before the first write, as under `| head -c 0`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = run_python("-m", "quadform.cli", *argv, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == exit_code
+    assert proc.stderr == ""
+
+
 def test_main_unexpected_error_exit_3(capsys, monkeypatch):
     def broken(cmd):
         raise ValueError("boom\nsecond line")
@@ -349,6 +386,53 @@ def test_main_unexpected_error_exit_3(capsys, monkeypatch):
     code, out, err = run_main(capsys, "pell", "2", "--json")
     assert code == 3 and out == ""
     assert err.count("\n") == 1 and "boom" in err and "Traceback" not in err
+
+
+def test_json_renders_booleans_and_null(capsys):
+    code, out, _ = run_main(capsys, "equiv", "13", "1", "0", "-13", "-2", "3", "2", "--json")
+    assert code == 1
+    assert '"equivalent":false,"matrix":null' in out
+    assert _json_roundtrip(out.strip())["result"]["matrix"] is None
+    code, out, _ = run_main(capsys, "verify", "2", "1", "0", "-2", "7", "3", "1", "--json")
+    assert code == 0
+    assert '"proper":true,"representation":true' in out
+    assert _json_roundtrip(out.strip())["result"]["proper"] is True
+
+
+@st.composite
+def big_ints(draw):
+    """Integers around 2^53 and past the 4300-digit int<->str limit."""
+    low = draw(st.sampled_from([2**53 - 2, 10**4300]))
+    return draw(st.integers(low, 3 * low)) * draw(st.sampled_from([1, -1]))
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no int<->str digit limit")
+@given(x=big_ints(), y=big_ints())
+@settings(deadline=None, max_examples=25)
+def test_json_round_trips_big_integers(x, y):
+    m = x * x - 2 * y * y  # nonzero: sqrt(2) is irrational
+    before = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        argv = ["verify", "2", "1", "0", "-2", str(m), str(x), str(y), "--json"]
+        sys.set_int_max_str_digits(4300)  # the default, which the CLI must restore
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = main(argv)
+        assert sys.get_int_max_str_digits() == 4300
+        sys.set_int_max_str_digits(0)
+        assert code == 0
+        line = out.getvalue().rstrip("\n")
+        payload = json.loads(line)
+        assert canonical_json(payload) == line
+        inputs, result = payload["inputs"], payload["result"]
+        for got, want in [(inputs["x"], x), (inputs["y"], y), (inputs["m"], m),
+                          (result["value"], m)]:
+            assert isinstance(got, str) == (abs(want) > 2**53 - 1)
+            assert int(got) == want
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 def test_json_has_no_floats(capsys):

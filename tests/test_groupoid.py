@@ -1,3 +1,4 @@
+import ast
 import random
 import time
 
@@ -10,6 +11,7 @@ from quadform import (
     Form,
     InternalLimit,
     Mat2,
+    Morphism,
     PMat,
     ProjectiveMatrices,
     act,
@@ -31,12 +33,14 @@ from quadform import (
 )
 from quadform.groupoid import ORBIT_CACHE_SIZE, _orbit_cached
 from helpers import (
+    SRC_DIR,
     _prefix_products,
     normal_form_candidates,
     parity_components,
     random_morphism,
     random_point,
     random_word,
+    run_python,
 )
 
 SQRT2 = qi_make(0, 1, 1, 2)
@@ -330,6 +334,63 @@ def test_invert_examples():
     rev = invert(loop2)
     assert (rev.i, rev.j) == (2, 0)
     assert rev.mat == PMat(Mat2(1, -2, -2, 5))
+
+
+# -- certificates ----------------------------------------------------------------------
+# Every check in the library is a real check that raises InternalLimit, so
+# python -O runs the same library.
+
+
+def test_no_assert_statement_in_the_library():
+    for path in sorted((SRC_DIR / "quadform").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert lines == [], f"assert in {path.name} at lines {lines}"
+
+
+SQRT2_LOOP = Mat2(1, 2, 1, 1)  # the primitive cycle loop at sqrt2, determinant -1
+
+
+def test_morphism_takes_its_endpoints_from_its_orbits():
+    orb = orbit(SQRT2)
+    m = Morphism(1, 2, PMat(SQRT2_LOOP), orb, orb)
+    assert m == cycle_loop(SQRT2)
+    assert (m.source, m.target) == (SQRT2, SQRT2)
+    assert hash(m) == hash((m.source, m.target, m.i, m.j, m.mat))
+    assert repr(m) == ("Morphism(source=QuadIrr(delta=2, p=0, q=1, r=1), "
+                       "target=QuadIrr(delta=2, p=0, q=1, r=1), "
+                       "i=1, j=2, mat=PMat(rep=Mat2(p=1, q=2, r=1, s=1)))")
+    down = hom_base(SQRT2, SILVER)
+    assert (down.source, down.target) == (SQRT2, SILVER)
+    assert (invert(down).source, invert(down).target) == (SILVER, SQRT2)
+
+
+@pytest.mark.parametrize("i, j, mat", [
+    (-1, 0, PMat.identity()),                # negative step count
+    (1, 0, PMat.identity()),                 # the orbits do not meet there
+    (2, 3, PMat(SQRT2_LOOP)),                # not reduced: (1, 2) meets one step earlier
+    (0, 0, PMat(SQRT2_LOOP ** 2)),           # empty word carrying a loop's matrix
+    (1, 2, PMat(SQRT2_LOOP ** 2)),           # wrong determinant for the word
+    (1, 2, PMat(Mat2(1, 1, 1, 0))),          # right determinant, wrong action
+], ids=["negative", "no meeting", "unreduced", "empty word", "determinant", "action"])
+def test_morphism_rejects_a_corrupted_word(i, j, mat):
+    orb = orbit(SQRT2)
+    with pytest.raises(InternalLimit, match="certificate"):
+        Morphism(i, j, mat, orb, orb)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python -O"])
+def test_corrupted_morphism_is_rejected_under_python_O(flags):
+    code = ("from quadform import InternalLimit, Mat2, Morphism, PMat, orbit, qi_make\n"
+            "o = orbit(qi_make(0, 1, 1, 2))\n"
+            "try:\n"
+            "    Morphism(0, 0, PMat(Mat2(3, 4, 2, 3)), o, o)\n"
+            "except InternalLimit as e:\n"
+            "    print(type(e).__name__, e)\n")
+    proc = run_python(*flags, "-c", code)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.startswith("InternalLimit morphism")
+    assert proc.stdout.rstrip().endswith("failed its certificate")
 
 
 # -- cycle loops -----------------------------------------------------------------------

@@ -1,11 +1,15 @@
+from fractions import Fraction
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 from quadform import (
+    InternalLimit,
     Mat2,
     NotUnimodular,
     PMat,
+    QuadIrr,
     generator_matrix,
     mobius_apply,
     pmat_canon,
@@ -93,6 +97,14 @@ def test_mobius_ignores_sign_and_keeps_delta(a, x):
     assert y == mobius_apply(-a, x)
     assert y == mobius_apply(pmat_canon(a), x)
     assert y.delta == x.delta
+
+
+def test_mobius_rejects_a_rational_image(monkeypatch):
+    # a unimodular map keeps irrationals irrational; a broken division must
+    # not slip through as a point
+    monkeypatch.setattr(QuadIrr, "__truediv__", lambda self, other: Fraction(1, 2))
+    with pytest.raises(InternalLimit, match="certificate"):
+        mobius_apply(Mat2(1, 1, 1, 0), qi_make(1, 1, 1, 2))
 
 
 def test_first_column_examples():
