@@ -103,7 +103,7 @@ class QuadIrr:
         check_discriminant(self.delta)
         if q == 0:
             raise NotIrrational("q = 0 gives a rational value")
-        g = math.gcd(p, q, r)
+        g = math.gcd(r, p, q)
         if r < 0:
             g = -g
         if g != 1:

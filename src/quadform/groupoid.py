@@ -11,20 +11,21 @@ class, ``compose``/``invert`` work directly on reduced shapes, and
 Orbits are eventually periodic because every point here has degree 2 over
 the rationals; indexing past the recorded tail wraps around the cycle, so
 loop powers are plain (i, j) pairs with large indices.  An orbit stores
-only its points and quotients; every matrix made from a run of quotients
-comes from the balanced product tree ``generator_product``, built when it
-is needed, so no list of prefix matrices is ever formed.  The stabilizer of
-a point is cyclic, generated by the primitive cycle loop, so every
-morphism x -> y is the base morphism ``hom_base(x, y)`` after a power of
-that loop: ``normal_form`` finds the power exactly and costs O(orbit
-length + log|k|) matrix products for winding number k.
+its points as integer pairs and builds a QuadIrr only when asked; every
+matrix made from a run of quotients comes from the product tree
+``generator_product`` on integer 4-tuples, so no list of prefix matrices
+is ever formed.  The stabilizer of a point is cyclic, generated by the
+primitive cycle loop, so every morphism x -> y is the base morphism
+``hom_base(x, y)`` after a power of that loop: ``normal_form`` finds the
+power exactly and costs O(orbit length + log|k|) matrix products for
+winding number k.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from types import MappingProxyType
+from math import gcd, isqrt
 
 from .errors import ComposeMismatch, DiscriminantMismatch, InternalLimit, InvalidArgument
 from .exact import QuadIrr, qi_floor
@@ -41,12 +42,16 @@ def generator_matrix(a: int) -> Mat2:
 
 def generator_product(quotients) -> Mat2:
     """Product of the quotients' generator matrices in order, as a product
-    tree: big entries meet in a few products, not one per quotient."""
-    mats = [generator_matrix(a) for a in quotients] or [Mat2.identity()]
+    tree on 4-tuples: big entries meet in a few products, not one per
+    quotient.  The root's ``Mat2`` determinant check certifies the tree."""
+    qs = quotients  # leaves pair generators: [[a,1],[1,0]][[b,1],[1,0]] = [[ab+1,a],[b,1]]
+    mats = [(a * b + 1, a, b, 1) for a, b in zip(qs[::2], qs[1::2])] + [
+        (a, 1, 1, 0) for a in qs[len(qs) & ~1:]] or [(1, 0, 0, 1)]
     while len(mats) > 1:
-        mats = [mats[k] * mats[k + 1] if k + 1 < len(mats) else mats[k]
-                for k in range(0, len(mats), 2)]
-    return mats[0]
+        mats = [(p * e + q * g, p * f + q * h, r * e + s * g, r * f + s * h)
+                for (p, q, r, s), (e, f, g, h) in zip(mats[::2], mats[1::2])
+                ] + mats[len(mats) & ~1:]
+    return Mat2(*mats[0])
 
 
 def derivative(x: QuadIrr) -> tuple[int, QuadIrr]:
@@ -58,43 +63,53 @@ def derivative(x: QuadIrr) -> tuple[int, QuadIrr]:
     return a, QuadIrr(x.delta, x.r * p, -x.r * x.q, p * p - x.q * x.q * x.delta)
 
 
+def _point(delta: int, scale: tuple[int, int], key: tuple[int, int]) -> QuadIrr:
+    """The pair (P, Q) as a QuadIrr, where sqrt(N) = u/v * sqrt(delta)."""
+    return QuadIrr(delta, scale[1] * key[0], scale[0], scale[1] * key[1])
+
+
 @dataclass(frozen=True)
 class Orbit:
-    """Derivative trace of a point: preperiod, cycle, quotients and the index
-    of each point on it.  x = A_k * x_k with A_k the product of the first k
-    generators; the orbit keeps only A_pre, the cycle's product C and the
-    loop matrix, built on first use from product trees."""
+    """Derivative trace of a point: the complete quotients x_k as pairs
+    keys[k] = (P, Q), meaning (P + sqrt(N))/Q with Q | N - P^2 and
+    sqrt(N) = u/v * sqrt(delta) for scale = (u, v); QuadIrrs are built when
+    asked.  x = A_k * x_k with A_k the product of the first k generators;
+    A_pre, C and the loop matrix are built on first use from product trees."""
 
     point: QuadIrr
-    preperiod: tuple[QuadIrr, ...]
-    cycle: tuple[QuadIrr, ...]
+    keys: tuple[tuple[int, int], ...]
     quotients: tuple[int, ...]
-    index: MappingProxyType = field(compare=False, repr=False)
-
-    @property
-    def pre_len(self) -> int:
-        return len(self.preperiod)
+    pre_len: int
+    scale: tuple[int, int]
 
     @property
     def cycle_len(self) -> int:
-        return len(self.cycle)
+        return len(self.keys) - self.pre_len
 
     @property
     def length(self) -> int:
-        return len(self.preperiod) + len(self.cycle)
+        return len(self.keys)
+
+    def _wrap(self, k: int) -> int:  # indices past the tail wrap around the cycle
+        n = self.pre_len
+        return k if k < n else n + (k - n) % self.cycle_len
+
+    def key_at(self, k: int) -> tuple[int, int]:
+        return self.keys[self._wrap(k)]
 
     def point_at(self, k: int) -> QuadIrr:
-        """Complete quotient x_k; indices past the tail wrap around the cycle."""
-        n = self.pre_len
-        if k < n:
-            return self.preperiod[k]
-        return self.cycle[(k - n) % self.cycle_len]
+        return _point(self.point.delta, self.scale, self.key_at(k))
 
     def quotient_at(self, k: int) -> int:
-        n = self.pre_len
-        if k < n:
-            return self.quotients[k]
-        return self.quotients[n + (k - n) % self.cycle_len]
+        return self.quotients[self._wrap(k)]
+
+    @cached_property
+    def preperiod(self) -> tuple[QuadIrr, ...]:
+        return tuple(map(self.point_at, range(self.pre_len)))
+
+    @cached_property
+    def cycle(self) -> tuple[QuadIrr, ...]:
+        return tuple(map(self.point_at, range(self.pre_len, self.length)))
 
     @cached_property
     def pre_matrix(self) -> Mat2:
@@ -112,28 +127,46 @@ class Orbit:
         return self.pre_matrix * self.cycle_matrix * self.pre_matrix.inv()
 
 
+def _walk(p: int, q: int, n: int, cap: int):
+    """PQa steps from (p + sqrt(n))/q until the first reduced pair (x > 1,
+    -1 < conjugate < 0: purely periodic by Galois, so the cycle's start)
+    comes back.  Returns the pairs, the quotients, the pair it stopped at
+    and the cycle's start, or None there when cap pairs came first."""
+    s = isqrt(n)
+    keys, quots, pre = [], [], None
+    while True:
+        key = (p, q)
+        if pre is not None and key == keys[pre]:
+            return keys, quots, key, pre
+        if pre is None and p <= s and s - p < q <= s + p:  # reduced
+            pre = len(keys)
+        if len(keys) >= cap:
+            return keys, quots, key, None
+        keys.append(key)
+        a = (p + s) // q if q > 0 else -((p + s) // -q) - 1
+        quots.append(a)
+        p = a * q - p
+        q = (n - p * p) // q
+
+
 @lru_cache(maxsize=ORBIT_CACHE_SIZE)
 def _orbit_cached(x: QuadIrr, cap: int) -> Orbit:
-    pts: list[QuadIrr] = []
-    quots: list[int] = []
-    seen: dict[QuadIrr, int] = {}
-    cur = x
-    while cur not in seen:
-        if len(pts) >= cap:
-            raise InternalLimit(f"orbit of {cur} exceeded {cap} steps")
-        seen[cur] = len(pts)
-        pts.append(cur)
-        a, cur_next = derivative(cur)
-        quots.append(a)
-        cur = cur_next
-    k = seen[cur]
-    return Orbit(
-        point=x,
-        preperiod=tuple(pts[:k]),
-        cycle=tuple(pts[k:]),
-        quotients=tuple(quots),
-        index=MappingProxyType(seen),
-    )
+    # x = (p + q*sqrt(D))/r is a root of [r^2, -pr, p^2 - q^2*D] = h*[a, -b, c/h] with
+    # [a, -b, c/h] primitive, so x = (b + sign(q)*sqrt(N))/a, N = (rq/h)^2 * D invariant
+    p, q, r = x.p, x.q, x.r
+    c = p * p - q * q * x.delta
+    h = gcd(r * r, p * r, c)
+    a, b, sign, g = r * r // h, p * r // h, 1 if q > 0 else -1, gcd(r * q, h)
+    scale = (r * abs(q) // g, h // g)
+    keys, quots, stop, pre = _walk(sign * b, sign * a, b * b - a * (c // h), cap)
+    if pre is None:
+        raise InternalLimit(f"orbit of {_point(x.delta, scale, stop)} exceeded {cap} steps")
+    orb = Orbit(x, tuple(keys), tuple(quots), pre, scale)
+    # the walk's certificate: one public derivative step closes the cycle
+    if orb.point_at(0) != x or derivative(orb.point_at(orb.length - 1)) != (
+            quots[-1], orb.point_at(pre)):
+        raise InternalLimit(f"orbit of {x} failed its certificate")
+    return orb
 
 
 def orbit(x: QuadIrr, cap: int | None = None) -> Orbit:
@@ -160,8 +193,9 @@ class Morphism:
         src, tgt, i, j = self.src_orbit, self.tgt_orbit, self.i, self.j
         object.__setattr__(self, "source", src.point)
         object.__setattr__(self, "target", tgt.point)
-        if not (i >= 0 and j >= 0 and src.point_at(i) == tgt.point_at(j)
-                and not (i and j and src.point_at(i - 1) == tgt.point_at(j - 1))
+        # pairs compare as points: the action check puts both on one delta and N
+        if not (i >= 0 and j >= 0 and src.key_at(i) == tgt.key_at(j)
+                and not (i and j and src.key_at(i - 1) == tgt.key_at(j - 1))
                 and (i or j or self.mat == PMat.identity())
                 and self.mat.det == (-1) ** (i + j)
                 and mobius_apply(self.mat, self.source) == self.target):
@@ -178,7 +212,7 @@ class Morphism:
 def _reduced(src_orb: Orbit, tgt_orb: Orbit, i: int, j: int, mat: PMat) -> Morphism:
     """Cancel the common tail (which leaves the matrix unchanged), then
     build the morphism."""
-    while i > 0 and j > 0 and src_orb.point_at(i - 1) == tgt_orb.point_at(j - 1):
+    while i > 0 and j > 0 and src_orb.key_at(i - 1) == tgt_orb.key_at(j - 1):
         i -= 1
         j -= 1
     return Morphism(i, j, mat, src_orb, tgt_orb)
@@ -207,8 +241,11 @@ def hom_base(x: QuadIrr, y: QuadIrr, cap: int | None = None) -> Morphism | None:
     if x.delta != y.delta:
         raise DiscriminantMismatch(f"delta {x.delta} vs {y.delta}")
     ox, oy = orbit(x, cap), orbit(y, cap)
-    for i in range(ox.length):
-        j = oy.index.get(ox.point_at(i))
+    if ox.scale != oy.scale:  # unequal N: no point is shared
+        return None
+    where = {key: j for j, key in enumerate(oy.keys)}
+    for i, key in enumerate(ox.keys):
+        j = where.get(key)
         if j is not None:
             b_j, a_i = generator_product(oy.quotients[:j]), generator_product(ox.quotients[:i])
             return _reduced(ox, oy, i, j, PMat(b_j * a_i.inv()))

@@ -162,6 +162,25 @@ def cf_quotients_oracle(p: int, q: int, r: int, delta: int, count: int) -> list[
         bits *= 2
 
 
+def orbit_by_derivative(x: QuadIrr, cap: int) -> tuple | None:
+    """Reference walk with the public ``derivative``, one QuadIrr per step,
+    until a complete quotient repeats: (quotients, pre_len, preperiod,
+    cycle), or None past ``cap`` points."""
+    pts: list[QuadIrr] = []
+    quots: list[int] = []
+    seen: dict[QuadIrr, int] = {}
+    cur = x
+    while cur not in seen:
+        if len(pts) >= cap:
+            return None
+        seen[cur] = len(pts)
+        pts.append(cur)
+        a, cur = derivative(cur)
+        quots.append(a)
+    k = seen[cur]
+    return tuple(quots), k, tuple(pts[:k]), tuple(pts[k:])
+
+
 # -- normal-form uniqueness oracle ------------------------------------------
 
 

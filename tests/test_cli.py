@@ -347,18 +347,37 @@ def test_verify_reads_integers_past_the_str_digit_limit(capsys):
     assert out.splitlines() == ["value 1", "representation true", "proper true"]
 
 
-def test_certificate_check_runs_under_python_O():
-    # a wrong but unimodular matrix in hom_base's product must stop equiv at
-    # the morphism's certificate, also when asserts are compiled out
+# A wrong quotient in the walk or a wrong but unimodular matrix in a product
+# tree stops the answer at a certificate, also when asserts are compiled out;
+# the message names the certificate that caught it: the walk's closing
+# derivative step, or a morphism's.
+_WALK_PATCH = ("walk = groupoid._walk\n"
+               "def bad(*args):\n"
+               "    keys, quots, stop, pre = walk(*args)\n"
+               "    return keys, {}, stop, pre\n"
+               "groupoid._walk = bad\n")
+_CORRUPTIONS = {
+    "last quotient": ("orbit of", _WALK_PATCH.format("quots[:-1] + [quots[-1] + 1]")),
+    "first quotient": ("morphism", _WALK_PATCH.format("[quots[0] + 1] + quots[1:]")),
+    "tree node": ("morphism", "product = groupoid.generator_product\n"
+                  "groupoid.generator_product = "
+                  "lambda qs: product(qs) * Mat2(1, len(qs), 0, 1)\n"),
+}
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python -O"])
+@pytest.mark.parametrize("argv", [["pell", "61"], ["equiv", "2", "1", "0", "-2", "7", "4", "2"]],
+                         ids=["pell", "equiv"])
+@pytest.mark.parametrize("corruption", sorted(_CORRUPTIONS))
+def test_corrupted_walk_or_tree_stops_at_a_certificate(corruption, argv, flags):
+    where, patch = _CORRUPTIONS[corruption]
     code = ("import sys\n"
             "from quadform import Mat2, cli, groupoid\n"
-            "product = groupoid.generator_product\n"
-            "groupoid.generator_product = lambda qs: product(qs) * Mat2(1, len(qs), 0, 1)\n"
-            "sys.exit(cli.main(sys.argv[1:]))\n")
-    proc = run_python("-O", "-c", code, "equiv", "2", "1", "0", "-2", "7", "4", "2")
+            + patch + "sys.exit(cli.main(sys.argv[1:]))\n")
+    proc = run_python(*flags, "-c", code, *argv)
     assert proc.returncode == 3 and proc.stdout == ""
     assert proc.stderr.count("\n") == 1
-    assert proc.stderr.startswith("internal limit: morphism")
+    assert proc.stderr.startswith(f"internal limit: {where}")
     assert "certificate" in proc.stderr
 
 

@@ -1,8 +1,11 @@
 import ast
+import math
 import random
 import time
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from quadform import (
     AdditiveIntegers,
@@ -36,6 +39,7 @@ from helpers import (
     SRC_DIR,
     _prefix_products,
     normal_form_candidates,
+    orbit_by_derivative,
     parity_components,
     random_morphism,
     random_point,
@@ -121,6 +125,55 @@ def test_orbit_structure_invariants():
 def test_orbit_cap_trips():
     with pytest.raises(InternalLimit):
         orbit(qi_make(0, 1, 1, 9973), cap=2)
+
+
+@st.composite
+def walk_starts(draw):
+    """(p + q*sqrt(delta))/r entered with a common factor, either sign of q
+    and r, |q| > 1 and delta up to 1e6."""
+    delta = draw((st.integers(2, 1000) | st.integers(10**5, 10**6)).filter(
+        lambda d: math.isqrt(d) ** 2 != d))
+    k, p = draw(st.integers(1, 6)), draw(st.integers(-1000, 1000))
+    q = draw(st.sampled_from([-3, -2, 2, 3]))
+    r = draw(st.integers(1, 8)) * draw(st.sampled_from([-1, 1]))
+    return qi_make(k * p, k * q, k * r, delta)
+
+
+@given(walk_starts())
+@settings(deadline=None, max_examples=60)
+def test_orbit_matches_a_walk_by_derivative(x):
+    cap = 20000
+    ref = orbit_by_derivative(x, cap)
+    if ref is None:
+        with pytest.raises(InternalLimit, match=f"exceeded {cap} steps"):
+            orbit(x, cap)
+    else:
+        orb = orbit(x, cap)
+        assert (orb.quotients, orb.pre_len, orb.preperiod, orb.cycle) == ref
+        # the cap admits an orbit of exactly cap points and names the next one
+        assert orbit(x, orb.length) == orb
+        with pytest.raises(InternalLimit) as err:
+            orbit(x, orb.length - 1)
+        assert str(err.value) == f"orbit of {ref[3][-1]} exceeded {orb.length - 1} steps"
+
+
+def test_walks_through_one_cycle_share_their_pairs():
+    sqrt13 = qi_make(0, 1, 1, 13)
+    home = orbit(sqrt13)
+    cycle = home.keys[home.pre_len:]
+    for k, x in enumerate(home.cycle):
+        orb = orbit(x)
+        assert (orb.pre_len, orb.keys) == (0, cycle[k:] + cycle[:k])
+        m = hom_base(x, sqrt13)
+        assert (m.i, m.j) == (0, home.pre_len + k)
+    # a preperiodic point onto the same cycle
+    y = mobius_apply(Mat2(7, 3, 2, 1), sqrt13)
+    orb = orbit(y)
+    assert orb.pre_len > 1 and sorted(orb.keys[orb.pre_len:]) == sorted(cycle)
+    first = next(i for i, key in enumerate(orb.keys) if key in home.keys)
+    m = hom_base(y, sqrt13)
+    assert (m.i, m.j) == (first, home.keys.index(orb.keys[first]))
+    assert orb.point_at(m.i) == home.point_at(m.j)
 
 
 # -- hom sets --------------------------------------------------------------------
